@@ -17,7 +17,7 @@ from .enumeration import EnumerationFilter, census
 from .errors import RackError
 from .inner import classify, per_point_patterns, rack_profile
 from .core import subrack_closure
-from .obstructions import ProfileQuery, full_verdict, hayashi_check, parse_profile
+from .obstructions import full_verdict, hayashi_check, parse_profile
 from .perm import from_cycles
 from .tableio import emit_report, emit_table, load_table, report_object
 
@@ -85,12 +85,9 @@ def _cmd_hayashi(args) -> int:
         raise ValueError("give exactly one of a table file or --profile")
     if args.profile is not None:
         pf = parse_profile(args.profile)
-        label = str(pf)
     else:
-        prof = rack_profile(_load(args.table))
-        pf = ProfileQuery.from_profile(prof)
-        label = str(prof)
-    print(emit_report({"profile": label, "holds": hayashi_check(pf)}))
+        pf = rack_profile(_load(args.table))
+    print(emit_report({"profile": str(pf), "holds": hayashi_check(pf)}))
     return 0
 
 

@@ -13,9 +13,10 @@ so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import RackError
-from .perm import Perm, is_permutation, power
+from .perm import Perm, cycle_lengths, is_permutation, power
 
 
 class TableValidationError(RackError):
@@ -41,6 +42,19 @@ class R2Violation(TableValidationError):
 
 
 @dataclass(frozen=True)
+class TableAnalysis:
+    """Per-table facts read by the inner-group functions.
+
+    ``orbits`` are the orbits of the carrier under the inner group, sorted
+    by minimum; ``row_lengths[x]`` lists the cycle lengths of the
+    translation by x in ascending order.
+    """
+
+    orbits: tuple[frozenset[int], ...]
+    row_lengths: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
 class RackTable:
     """An n-by-n operation table; the single source of truth for a rack.
 
@@ -52,14 +66,28 @@ class RackTable:
     n: int
     rows: tuple[tuple[int, ...], ...]
 
-    def __hash__(self):
-        # Hashing an n^2 table is linear in its size; memoized because
-        # cached analyses hash the same table repeatedly.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.n, self.rows))
-            object.__setattr__(self, "_hash", h)
-        return h
+    @cached_property
+    def analysis(self) -> TableAnalysis:
+        """Orbits and cycle lengths, built on first use and kept on the table.
+
+        The orbits come from forward closure under all translations; the
+        neighbours of a point y are exactly the entries of column y.
+        """
+        cols = tuple(map(frozenset, zip(*self.rows)))
+        unseen = set(range(self.n))
+        orbits = []
+        while unseen:
+            start = min(unseen)
+            comp = {start}
+            frontier = [start]
+            while frontier:
+                fresh = cols[frontier.pop()] - comp
+                comp |= fresh
+                frontier.extend(fresh)
+            orbits.append(frozenset(comp))
+            unseen -= comp
+        row_lengths = tuple(tuple(sorted(cycle_lengths(row))) for row in self.rows)
+        return TableAnalysis(tuple(orbits), row_lengths)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from typing import Callable, Iterator
 from .core import RackTable, is_braided, is_crossed_set
 from .errors import RackError
 from .inner import is_indecomposable, rack_profile
+from .perm import inverse
 
 MAX_ORDER = 7
 
@@ -80,13 +81,7 @@ def _perms_fixing(n: int, i: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _perm_inverse_pairs(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    pairs = []
-    for s in _perms(n):
-        inv = [0] * n
-        for i, v in enumerate(s):
-            inv[v] = i
-        pairs.append((s, tuple(inv)))
-    return tuple(pairs)
+    return tuple((s, inverse(s)) for s in _perms(n))
 
 
 def _guard(n: int) -> None:
@@ -128,9 +123,7 @@ def _labelled_tables(
             for b in range(r):
                 if ra[b] == r:
                     rb = rows[b]
-                    inv = [0] * n
-                    for i, v in enumerate(ra):
-                        inv[v] = i
+                    inv = inverse(ra)
                     return (tuple(ra[rb[inv[c]]] for c in range(n)),)
         if r == 0 and first_row is not None:
             return (first_row,)
@@ -161,26 +154,28 @@ def _passes(rt: RackTable, filt: EnumerationFilter) -> bool:
     return True
 
 
+def _compare_relabeled(rows, s, sinv, other, n: int) -> int:
+    """Sign of the relabeling of ``rows`` by s against ``other``.
+
+    Compares cell by cell in row-major order and returns -1 or 1 at the
+    first differing cell, or 0 if the tables are equal.
+    """
+    for x in range(n):
+        src = rows[sinv[x]]
+        ox = other[x]
+        for y in range(n):
+            v = s[src[sinv[y]]]
+            w = ox[y]
+            if v != w:
+                return -1 if v < w else 1
+    return 0
+
+
 def _is_canonical(rows: tuple[tuple[int, ...], ...], n: int) -> bool:
     """True if no relabeling produces a lexicographically smaller table."""
-    for s, sinv in _perm_inverse_pairs(n):
-        smaller = False
-        done = False
-        for x in range(n):
-            src = rows[sinv[x]]
-            tx = rows[x]
-            for y in range(n):
-                v = s[src[sinv[y]]]
-                w = tx[y]
-                if v != w:
-                    smaller = v < w
-                    done = True
-                    break
-            if done:
-                break
-        if done and smaller:
-            return False
-    return True
+    return not any(
+        _compare_relabeled(rows, s, sinv, rows, n) < 0 for s, sinv in _perm_inverse_pairs(n)
+    )
 
 
 def _survivors(n: int, filt: EnumerationFilter, first_row=None) -> Iterator[RackTable]:
@@ -275,31 +270,15 @@ def canonical_form(r: RackTable) -> RackTable:
     rows = r.rows
     best = rows
     for s, sinv in _perm_inverse_pairs(n):
-        verdict = 0
-        for x in range(n):
-            src = rows[sinv[x]]
-            bx = best[x]
-            for y in range(n):
-                v = s[src[sinv[y]]]
-                w = bx[y]
-                if v != w:
-                    verdict = -1 if v < w else 1
-                    break
-            if verdict:
-                break
-        if verdict < 0:
-            best = tuple(
-                tuple(s[rows[sinv[x]][sinv[y]]] for y in range(n)) for x in range(n)
-            )
+        if _compare_relabeled(rows, s, sinv, best, n) < 0:
+            best = relabel(r, s).rows
     return RackTable(n, best)
 
 
 def relabel(r: RackTable, sigma: tuple[int, ...]) -> RackTable:
     """Apply a relabeling permutation to the table."""
     n = r.n
-    inv = [0] * n
-    for i, v in enumerate(sigma):
-        inv[v] = i
+    inv = inverse(sigma)
     return RackTable(
         n, tuple(tuple(sigma[r.rows[inv[x]][inv[y]]] for y in range(n)) for x in range(n))
     )

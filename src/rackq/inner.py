@@ -2,17 +2,20 @@
 
 The inner group of a rack is generated by its left translations.  Because
 every translation has finite order, its inverse is a positive power of it,
-so orbit computations close under the generators alone.
+so orbit computations close under the generators alone.  Every function
+here reads the table's :attr:`~rackq.core.RackTable.analysis`, which is
+computed once per table.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import chain
 
 from .core import ClassFlags, RackTable, is_braided, is_crossed_set, is_quandle
 from .errors import RackError
-from .perm import CycleProfile, compose, cycle_lengths, order, pattern
+from .obstructions import hayashi_check
+from .perm import CycleProfile
 
 
 class NotIndecomposable(RackError):
@@ -35,40 +38,24 @@ class OrbitPartition:
     orbits: tuple[frozenset[int], ...]
 
 
-@lru_cache(maxsize=256)
 def orbit_partition(r: RackTable) -> OrbitPartition:
-    """Partition the carrier into inner-group orbits.
-
-    Forward closure under all translations; neighbours of a point y are
-    exactly the entries of column y.
-    """
-    cols = tuple(map(frozenset, zip(*r.rows)))
-    unseen = set(range(r.n))
-    orbits = []
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            fresh = cols[frontier.pop()] - comp
-            comp |= fresh
-            frontier.extend(fresh)
-        orbits.append(frozenset(comp))
-        unseen -= comp
-    return OrbitPartition(tuple(orbits))
+    """Partition the carrier into inner-group orbits."""
+    return OrbitPartition(r.analysis.orbits)
 
 
 def is_indecomposable(r: RackTable) -> bool:
     """True if the inner group acts transitively on the carrier."""
-    return len(orbit_partition(r).orbits) == 1
+    return len(r.analysis.orbits) == 1
 
 
 def per_point_patterns(r: RackTable) -> tuple[tuple[int, CycleProfile], ...]:
     """Cycle pattern of every translation, in carrier order."""
-    return tuple((x, pattern(r.rows[x])) for x in range(r.n))
+    return tuple(
+        (x, CycleProfile.from_cycle_lengths(lengths))
+        for x, lengths in enumerate(r.analysis.row_lengths)
+    )
 
 
-@lru_cache(maxsize=256)
 def rack_profile(r: RackTable) -> CycleProfile:
     """The common cycle pattern of all translations.
 
@@ -82,9 +69,9 @@ def rack_profile(r: RackTable) -> CycleProfile:
             "rack is decomposable, so it has no single profile; "
             "use per_point_patterns for the pattern of every translation"
         )
-    reference = sorted(cycle_lengths(r.rows[0]))
-    for x in range(1, r.n):
-        if sorted(cycle_lengths(r.rows[x])) != reference:
+    reference, *others = r.analysis.row_lengths
+    for x, lengths in enumerate(others, start=1):
+        if lengths != reference:
             raise ProfileConstancyError(
                 f"translation patterns differ between points 0 and {x}"
             )
@@ -95,55 +82,12 @@ def degree(r: RackTable) -> int:
     """Order of any translation of an indecomposable rack."""
     if not is_indecomposable(r):
         raise NotIndecomposable("degree is only defined for indecomposable racks")
-    return order(r.rows[0])
+    return math.lcm(*r.analysis.row_lengths[0])
 
 
 def hayashi_holds_for(r: RackTable) -> bool:
     """True if every non-trivial profile length divides the largest one."""
-    lengths = rack_profile(r).moving_lengths()
-    if not lengths:
-        return True
-    largest = lengths[-1]
-    return all(largest % l == 0 for l in lengths)
-
-
-class _Exceeded:
-    """Singleton marker: the inner-group closure passed its cap."""
-
-    def __repr__(self) -> str:
-        return "Exceeded"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-EXCEEDED = _Exceeded()
-
-
-def inner_group_order(r: RackTable, cap: int = 1_000_000):
-    """Size of the group generated by the translations, or EXCEEDED.
-
-    Diagnostic only: closes the set of distinct permutations under
-    composition with the generators, aborting once more than ``cap``
-    elements have been found.
-    """
-    if cap < 1:
-        raise ValueError(f"cap must be positive, got {cap}")
-    gens = tuple(set(r.rows))
-    known = set(gens)
-    frontier = list(known)
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in gens:
-                h = compose(f, g)
-                if h not in known:
-                    known.add(h)
-                    if len(known) > cap:
-                        return EXCEEDED
-                    nxt.append(h)
-        frontier = nxt
-    return len(known)
+    return hayashi_check(rack_profile(r))
 
 
 def classify(r: RackTable) -> ClassFlags:
@@ -153,5 +97,5 @@ def classify(r: RackTable) -> ClassFlags:
         is_crossed_set=is_crossed_set(r),
         is_braided=is_braided(r),
         is_indecomposable=is_indecomposable(r),
-        degree=math.lcm(*(order(row) for row in r.rows)),
+        degree=math.lcm(*chain.from_iterable(r.analysis.row_lengths)),
     )

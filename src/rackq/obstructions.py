@@ -1,8 +1,8 @@
 """Decision procedures on abstract cycle profiles.
 
-A profile query is a multiset of cycle lengths >= 2 with multiplicities,
-plus a fixed-point count m0.  Three exclusion rules are implemented; their
-wire identifiers are
+Profiles are :class:`~rackq.perm.CycleProfile` values; the rules read only
+their lengths >= 2 and the multiplicities of those.  Three exclusion rules
+are implemented; their wire identifiers are
 
 * ``Prop35``  - some contiguous split of the sorted lengths has prefix and
   suffix lcms that do not divide each other (excludes all racks);
@@ -22,8 +22,6 @@ from functools import lru_cache
 
 from .errors import RackError
 from .perm import CycleProfile
-
-MAX_LENGTH = 2**32
 
 SCOPE_RACKS = "racks"
 SCOPE_CROSSED_SETS = "crossed-sets"
@@ -56,42 +54,10 @@ class TooManyLengths(ProfileError):
     pass
 
 
-@dataclass(frozen=True)
-class ProfileQuery:
-    """An abstract profile: fixed-point count plus lengths >= 2."""
-
-    m0: int
-    lengths: tuple[int, ...]
-    mults: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.m0 < 0:
-            raise ValueError(f"m0 must be >= 0, got {self.m0}")
-        if list(self.lengths) != sorted(set(self.lengths)):
-            raise ValueError(f"lengths must be strictly increasing: {self.lengths!r}")
-        if any(l < 2 for l in self.lengths):
-            raise ValueError(f"lengths must be >= 2: {self.lengths!r}")
-        if any(l > MAX_LENGTH for l in self.lengths):
-            raise ValueError(f"lengths are capped at 2^32: {self.lengths!r}")
-        if len(self.mults) != len(self.lengths) or any(m < 1 for m in self.mults):
-            raise ValueError("mults must be positive and aligned with lengths")
-
-    @classmethod
-    def from_profile(cls, profile: CycleProfile) -> "ProfileQuery":
-        return cls(profile.m0, profile.moving_lengths(), profile.moving_mults())
-
-    def __str__(self) -> str:
-        terms = []
-        if self.m0:
-            terms.append(f"1^{self.m0}")
-        terms.extend(f"{l}^{m}" for l, m in zip(self.lengths, self.mults))
-        return " ".join(terms)
-
-
 _TERM = re.compile(r"(\d+)(?:\^(\d+))?\Z")
 
 
-def parse_profile(text: str) -> ProfileQuery:
+def parse_profile(text: str) -> CycleProfile:
     """Parse "1^2.2^2.3^4.6^4" or "1^1 2 3" style profile strings.
 
     Terms are separated by dots or whitespace; each term is ``L`` or
@@ -100,8 +66,6 @@ def parse_profile(text: str) -> ProfileQuery:
     terms = [t for t in re.split(r"[.\s]+", text.strip()) if t]
     if not terms:
         raise ProfileSyntaxError("empty profile")
-    m0 = 0
-    seen_one = False
     by_length: dict[int, int] = {}
     for term in terms:
         m = _TERM.match(term)
@@ -111,17 +75,12 @@ def parse_profile(text: str) -> ProfileQuery:
         mult = int(m.group(2)) if m.group(2) else 1
         if length < 1 or mult < 1:
             raise NonPositive(f"lengths and multiplicities must be >= 1: {term!r}")
-        if length == 1:
-            if seen_one:
+        if length in by_length:
+            if length == 1:
                 raise DuplicateLength("more than one length-1 term")
-            seen_one = True
-            m0 = mult
-        else:
-            if length in by_length:
-                raise DuplicateLength(f"length {length} appears more than once")
-            by_length[length] = mult
-    lengths = tuple(sorted(by_length))
-    return ProfileQuery(m0, lengths, tuple(by_length[l] for l in lengths))
+            raise DuplicateLength(f"length {length} appears more than once")
+        by_length[length] = mult
+    return CycleProfile(tuple(sorted(by_length.items())))
 
 
 @dataclass(frozen=True)
@@ -138,14 +97,14 @@ class ObstructionVerdict:
         return self.kind.startswith("Excluded")
 
 
-def prop35_verdict(pf: ProfileQuery) -> ObstructionVerdict:
+def prop35_verdict(pf: CycleProfile) -> ObstructionVerdict:
     """Contiguous-split lcm exclusion over the sorted lengths.
 
     Excluded if for some split index i the lcm of the first i lengths and
     the lcm of the rest do not divide each other.  The witness records the
     first such split.
     """
-    ls = pf.lengths
+    ls = pf.moving_lengths()
     for i in range(1, len(ls)):
         p = math.lcm(*ls[:i])
         q = math.lcm(*ls[i:])
@@ -159,16 +118,17 @@ def prop35_verdict(pf: ProfileQuery) -> ObstructionVerdict:
 MAX_BIPARTITION_LENGTHS = 20
 
 
-def cor34_verdict(pf: ProfileQuery) -> ObstructionVerdict:
+def cor34_verdict(pf: CycleProfile) -> ObstructionVerdict:
     """Bipartition lcm exclusion over the length set.
 
     Generalizes the contiguous split: excluded if some bipartition of the
-    lengths into non-empty S, T has lcms that do not divide each other,
-    with some length dividing neither lcm on each side (so neither fixed
-    set can be the whole carrier).  Exponential in the number of lengths,
-    guarded at MAX_BIPARTITION_LENGTHS.
+    lengths into non-empty S, T has lcms P, Q that do not divide each
+    other.  Then some length of T does not divide P and some length of S
+    does not divide Q, so neither fixed set can be the whole carrier.
+    Exponential in the number of lengths, guarded at
+    MAX_BIPARTITION_LENGTHS.
     """
-    ls = pf.lengths
+    ls = pf.moving_lengths()
     k = len(ls)
     if k > MAX_BIPARTITION_LENGTHS:
         raise TooManyLengths(f"bipartition rule is guarded at {MAX_BIPARTITION_LENGTHS} lengths")
@@ -179,12 +139,7 @@ def cor34_verdict(pf: ProfileQuery) -> ObstructionVerdict:
         t_side = [l for l in ls if l not in s_side]
         p = math.lcm(*s_side)
         q = math.lcm(*t_side)
-        if (
-            q % p != 0
-            and p % q != 0
-            and any(p % l != 0 for l in ls)
-            and any(q % l != 0 for l in ls)
-        ):
+        if q % p != 0 and p % q != 0:
             witness = {"S": s_side, "T": t_side, "P": p, "Q": q}
             return ObstructionVerdict(EXCLUDED_COR34, SCOPE_RACKS, witness, ("Cor34",))
     return ObstructionVerdict(NOT_EXCLUDED, SCOPE_RACKS, None, ("Cor34",))
@@ -301,7 +256,7 @@ def decompose_lengths(l1: int, l2: int, l3: int) -> LengthDecomposition:
     )
 
 
-def prop315_verdict(pf: ProfileQuery) -> ObstructionVerdict:
+def prop315_verdict(pf: CycleProfile) -> ObstructionVerdict:
     """Three-length crossed-set exclusion.
 
     Applies only to profiles with exactly three lengths, all of
@@ -312,9 +267,10 @@ def prop315_verdict(pf: ProfileQuery) -> ObstructionVerdict:
     excludes the profile for all racks, so that verdict is returned
     instead.
     """
-    if len(pf.lengths) != 3 or any(m != 1 for m in pf.mults):
+    lengths = pf.moving_lengths()
+    if len(lengths) != 3 or any(m != 1 for m in pf.moving_mults()):
         return ObstructionVerdict(NOT_APPLICABLE, SCOPE_CROSSED_SETS, None, ("Prop315",))
-    l1, l2, l3 = pf.lengths
+    l1, l2, l3 = lengths
     mutual_nondivision = l2 % l1 != 0 and l3 % l1 != 0 and l3 % l2 != 0
     trio = (l1, l2, l3)
     each_divides_other_lcm = all(
@@ -329,15 +285,13 @@ def prop315_verdict(pf: ProfileQuery) -> ObstructionVerdict:
     return ObstructionVerdict(NOT_EXCLUDED, SCOPE_CROSSED_SETS, None, ("Prop315",))
 
 
-def hayashi_check(pf: ProfileQuery) -> bool:
-    """True if every length divides the largest length."""
-    if not pf.lengths:
-        return True
-    largest = pf.lengths[-1]
-    return all(largest % l == 0 for l in pf.lengths)
+def hayashi_check(pf: CycleProfile) -> bool:
+    """True if every length >= 2 divides the largest one."""
+    lengths = pf.moving_lengths()
+    return not lengths or all(lengths[-1] % l == 0 for l in lengths)
 
 
-def full_verdict(pf: ProfileQuery, scope: str = SCOPE_RACKS) -> ObstructionVerdict:
+def full_verdict(pf: CycleProfile, scope: str = SCOPE_RACKS) -> ObstructionVerdict:
     """Dispatch the exclusion rules in order and return the first hit.
 
     Rule order: contiguous split, then bipartition, then (for crossed-set

@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
 
+MAX_LENGTH = 2**32
+
 
 def identity(n: int) -> Perm:
     """The identity permutation on n points."""
@@ -98,7 +100,9 @@ class CycleProfile:
     """Multiset of cycle lengths, stored as (length, multiplicity) pairs.
 
     Entries are sorted by strictly increasing length, so the fixed-point
-    entry (length 1), when present, always comes first.
+    entry (length 1), when present, always comes first.  Lengths are
+    capped at ``MAX_LENGTH``.  The same type describes the translations
+    of a table and an abstract profile parsed from a string.
     """
 
     entries: tuple[tuple[int, int], ...]
@@ -109,6 +113,8 @@ class CycleProfile:
             raise ValueError(f"profile entries must be positive: {self.entries!r}")
         if lengths != sorted(set(lengths)):
             raise ValueError(f"profile lengths must be strictly increasing: {self.entries!r}")
+        if lengths and lengths[-1] > MAX_LENGTH:
+            raise ValueError(f"lengths are capped at 2^32: {self.moving_lengths()!r}")
 
     @classmethod
     def from_cycle_lengths(cls, lengths: Iterable[int]) -> "CycleProfile":

@@ -18,7 +18,7 @@ from .core import ClassFlags, RackTable, validate
 from .enumeration import CensusReport
 from .errors import RackError
 from .inner import OrbitPartition
-from .obstructions import LengthDecomposition, ObstructionVerdict, ProfileQuery
+from .obstructions import LengthDecomposition, ObstructionVerdict
 from .perm import CycleProfile
 
 
@@ -146,8 +146,6 @@ def report_object(value):
             "lengths": list(value.moving_lengths()),
             "mults": list(value.moving_mults()),
         }
-    if isinstance(value, ProfileQuery):
-        return {"m0": value.m0, "lengths": list(value.lengths), "mults": list(value.mults)}
     if isinstance(value, ObstructionVerdict):
         return {
             "kind": value.kind,

@@ -3,6 +3,7 @@
 Everything here deliberately avoids the package's own search and
 canonicalization machinery, so agreement between the two is meaningful.
 """
+import math
 from itertools import permutations, product
 
 
@@ -108,3 +109,25 @@ def orbit_of(rows, point):
                 orbit.add(z)
                 frontier.append(z)
     return frozenset(orbit)
+
+
+def cor34_sweep(lengths):
+    """First bipartition witness of the lcm rule, checking every condition.
+
+    Visits the bipartitions in the library's mask order (the last length
+    always on the T side) and also requires each side's lcm to miss some
+    length, as the rule was first stated.  Returns None if none fires.
+    """
+    k = len(lengths)
+    for mask in range(1, 1 << max(k - 1, 0)):
+        s_side = [lengths[j] for j in range(k - 1) if mask >> j & 1]
+        t_side = [l for l in lengths if l not in s_side]
+        p, q = math.lcm(*s_side), math.lcm(*t_side)
+        if (
+            q % p != 0
+            and p % q != 0
+            and any(p % l != 0 for l in lengths)
+            and any(q % l != 0 for l in lengths)
+        ):
+            return {"S": s_side, "T": t_side, "P": p, "Q": q}
+    return None

@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 import rackq as rq
-from rackq import AffineSpec, EnumerationFilter, ProfileQuery
+from rackq import AffineSpec, EnumerationFilter
 from rackq.cli import main
 
 import oracles

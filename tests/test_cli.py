@@ -169,6 +169,15 @@ class TestHayashi:
         assert code == 0
         assert json.loads(out) == {"profile": "1^1 2^4", "holds": True}
 
+    def test_table_and_profile_give_same_label(self, capsys, tmp_path):
+        _, table_text, _ = run(capsys, "make", "dihedral", "9")
+        path = tmp_path / "d9.txt"
+        path.write_text(table_text)
+        code_table, from_table, _ = run(capsys, "hayashi", str(path))
+        code_profile, from_profile, _ = run(capsys, "hayashi", "--profile", "1^1 2^4")
+        assert code_table == code_profile == 0
+        assert from_table == from_profile == '{"profile":"1^1 2^4","holds":true}\n'
+
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "hayashi")
         assert code == 1

@@ -1,17 +1,23 @@
+import gc
+import math
+import pickle
+import sys
+import weakref
+
 import pytest
 
 import rackq as rq
 from rackq import (
-    EXCEEDED,
     AffineSpec,
     NotIndecomposable,
+    ProfileConstancyError,
+    RackTable,
     affine,
     classify,
     cyclic_rack,
     degree,
     dihedral,
     hayashi_holds_for,
-    inner_group_order,
     is_indecomposable,
     orbit_partition,
     per_point_patterns,
@@ -102,8 +108,6 @@ class TestDegree:
             degree(trivial(2))
 
     def test_degree_is_lcm_of_profile(self, rack_reps):
-        import math
-
         for rt in rack_reps[5]:
             if is_indecomposable(rt):
                 prof = rack_profile(rt)
@@ -120,28 +124,6 @@ class TestHayashi:
     def test_requires_indecomposable(self):
         with pytest.raises(NotIndecomposable):
             hayashi_holds_for(trivial(3))
-
-
-class TestInnerGroupOrder:
-    def test_trivial(self):
-        for n in (1, 2, 5):
-            assert inner_group_order(trivial(n)) == 1
-
-    def test_dihedral3_generates_order_six(self):
-        assert inner_group_order(dihedral(3)) == 6
-
-    def test_cyclic4(self):
-        assert inner_group_order(cyclic_rack(4)) == 4
-
-    def test_cap(self):
-        result = inner_group_order(dihedral(5), cap=3)
-        assert result is EXCEEDED
-        assert repr(result) == "Exceeded"
-        assert not result
-
-    def test_bad_cap(self):
-        with pytest.raises(ValueError):
-            inner_group_order(trivial(1), cap=0)
 
 
 class TestConjugacyRelation:
@@ -177,3 +159,64 @@ class TestClassify:
     def test_decomposable_degree_is_lcm(self):
         # trivial(2) has identity translations only
         assert classify(trivial(2)).degree == 1
+
+
+def _count_cycle_lengths(monkeypatch) -> list:
+    """Record every call of perm.cycle_lengths, wherever rackq binds it."""
+    calls = []
+    original = rq.perm.cycle_lengths
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rackq" and getattr(module, "cycle_lengths", None) is original:
+            monkeypatch.setattr(module, "cycle_lengths", counted)
+    return calls
+
+
+class TestTableAnalysis:
+    def test_cycle_lengths_run_once_per_row(self, monkeypatch):
+        calls = _count_cycle_lengths(monkeypatch)
+        rt = dihedral(31)
+        classify(rt)
+        per_point_patterns(rt)
+        rack_profile(rt)
+        degree(rt)
+        hayashi_holds_for(rt)
+        assert len(calls) == 31
+
+    def test_table_is_not_kept_alive(self):
+        rt = dihedral(7)
+        rack_profile(rt)
+        ref = weakref.ref(rt)
+        del rt
+        gc.collect()
+        assert ref() is None
+
+    def test_cached_analysis_keeps_equality_hash_and_pickling(self):
+        rt = dihedral(5)
+        rack_profile(rt)
+        fresh = dihedral(5)
+        assert rt == fresh and hash(rt) == hash(fresh)
+        restored = pickle.loads(pickle.dumps(rt))
+        assert restored == rt and restored.analysis == rt.analysis
+
+    def test_matches_per_row_computation(self, family_tables, rack_reps):
+        tables = list(family_tables.values())
+        for n in range(1, 6):
+            tables.extend(rack_reps[n])
+        for rt in tables:
+            rows = rt.rows
+            assert per_point_patterns(rt) == tuple((x, rq.pattern(row)) for x, row in enumerate(rows))
+            assert classify(rt).degree == math.lcm(*(rq.order(row) for row in rows))
+            if is_indecomposable(rt):
+                assert all(rack_profile(rt) == rq.pattern(row) for row in rows)
+                assert degree(rt) == rq.order(rows[0])
+
+    def test_profile_constancy_is_rechecked(self):
+        # Not a rack: connected through column 0, but the two translations
+        # have different cycle types.
+        with pytest.raises(ProfileConstancyError):
+            rack_profile(RackTable(2, ((1, 0), (0, 1))))

@@ -5,9 +5,9 @@ import pytest
 
 import rackq as rq
 from rackq import (
+    CycleProfile,
     DuplicateLength,
     NonPositive,
-    ProfileQuery,
     ProfileSyntaxError,
     TooManyLengths,
     cor34_verdict,
@@ -19,27 +19,32 @@ from rackq import (
     prop315_verdict,
 )
 
+import oracles
 
-def pq(m0, *lengths):
-    return ProfileQuery(m0, tuple(lengths), (1,) * len(lengths))
+
+def prof(m0, *lengths, mults=None):
+    """m0 fixed points plus the given lengths, each of multiplicity one
+    unless ``mults`` says otherwise."""
+    fixed = ((1, m0),) if m0 else ()
+    return CycleProfile(fixed + tuple(zip(lengths, mults or (1,) * len(lengths))))
 
 
 class TestParseProfile:
     def test_dotted(self):
         pf = parse_profile("1^2.2^2.3^4.6^4")
-        assert (pf.m0, pf.lengths, pf.mults) == (2, (2, 3, 6), (2, 4, 4))
+        assert (pf.m0, pf.moving_lengths(), pf.moving_mults()) == (2, (2, 3, 6), (2, 4, 4))
 
     def test_single_length(self):
         pf = parse_profile("5")
-        assert (pf.m0, pf.lengths, pf.mults) == (0, (5,), (1,))
+        assert (pf.m0, pf.moving_lengths(), pf.moving_mults()) == (0, (5,), (1,))
 
     def test_whitespace_and_implicit_mult(self):
         pf = parse_profile("1^1 2 3")
-        assert (pf.m0, pf.lengths, pf.mults) == (1, (2, 3), (1, 1))
+        assert (pf.m0, pf.moving_lengths(), pf.moving_mults()) == (1, (2, 3), (1, 1))
 
     def test_unordered_input_is_sorted(self):
         pf = parse_profile("6 2 10")
-        assert pf.lengths == (2, 6, 10)
+        assert pf.moving_lengths() == (2, 6, 10)
 
     def test_syntax_errors(self):
         for bad in ("", "x", "2^", "^2", "2^3^4", "-2"):
@@ -63,71 +68,84 @@ class TestParseProfile:
         assert parse_profile(str(pf)) == pf
 
 
-class TestProfileQueryType:
+class TestProfileType:
     def test_invariants(self):
         with pytest.raises(ValueError):
-            ProfileQuery(-1, (2,), (1,))
+            CycleProfile(((1, -1), (2, 1)))
         with pytest.raises(ValueError):
-            ProfileQuery(0, (3, 2), (1, 1))
+            CycleProfile(((3, 1), (2, 1)))
         with pytest.raises(ValueError):
-            ProfileQuery(0, (1,), (1,))
+            CycleProfile(((2, 0),))
         with pytest.raises(ValueError):
-            ProfileQuery(0, (2,), ())
-        with pytest.raises(ValueError):
-            ProfileQuery(0, (2**33,), (1,))
+            CycleProfile(((2**33, 1),))
 
-    def test_from_profile(self):
-        prof = rq.pattern((0, 4, 3, 2, 1))
-        pf = ProfileQuery.from_profile(prof)
-        assert (pf.m0, pf.lengths, pf.mults) == (1, (2,), (2,))
+    def test_length_cap_applies_to_parsed_strings(self):
+        assert parse_profile(f"2 {2**32}").moving_lengths() == (2, 2**32)
+        with pytest.raises(ValueError, match="capped at 2\\^32"):
+            parse_profile(f"2 {2**32 + 1}")
+
+    def test_parsed_and_table_profiles_are_one_type(self):
+        table_profile = rq.pattern((0, 4, 3, 2, 1))
+        assert (table_profile.m0, table_profile.moving_lengths()) == (1, (2,))
+        assert parse_profile(str(table_profile)) == table_profile
 
 
 class TestProp35:
     def test_two_coprime_lengths(self):
-        v = prop35_verdict(pq(0, 2, 3))
+        v = prop35_verdict(prof(0, 2, 3))
         assert v.kind == "ExcludedProp35"
         assert v.scope == "racks"
         assert v.witness == {"i": 1, "P": 2, "Q": 3}
 
     def test_divisible_chain_not_excluded(self):
-        assert prop35_verdict(pq(0, 2, 3, 6)).kind == "NotExcluded"
+        assert prop35_verdict(prof(0, 2, 3, 6)).kind == "NotExcluded"
 
     def test_single_length(self):
-        assert prop35_verdict(pq(0, 4)).kind == "NotExcluded"
+        assert prop35_verdict(prof(0, 4)).kind == "NotExcluded"
 
     def test_no_lengths(self):
-        assert prop35_verdict(ProfileQuery(3, (), ())).kind == "NotExcluded"
+        assert prop35_verdict(prof(3)).kind == "NotExcluded"
 
     def test_multiplicities_are_ignored(self):
-        a = prop35_verdict(ProfileQuery(0, (2, 3), (1, 1)))
-        b = prop35_verdict(ProfileQuery(5, (2, 3), (7, 9)))
+        a = prop35_verdict(prof(0, 2, 3))
+        b = prop35_verdict(prof(5, 2, 3, mults=(7, 9)))
         assert a.kind == b.kind == "ExcludedProp35"
 
 
 class TestCor34:
     def test_two_coprime_lengths(self):
-        v = cor34_verdict(pq(0, 2, 3))
+        v = cor34_verdict(prof(0, 2, 3))
         assert v.kind == "ExcludedCor34"
         assert v.witness["P"] == 2 and v.witness["Q"] == 3
 
     def test_6_10_15_survives_every_bipartition(self):
-        assert cor34_verdict(pq(0, 6, 10, 15)).kind == "NotExcluded"
+        assert cor34_verdict(prof(0, 6, 10, 15)).kind == "NotExcluded"
 
     def test_single_length(self):
-        assert cor34_verdict(pq(0, 2)).kind == "NotExcluded"
+        assert cor34_verdict(prof(0, 2)).kind == "NotExcluded"
 
     def test_catches_non_contiguous_split(self):
         # (10, 12, 15): both contiguous splits have dividing lcms, but
         # {12} against {10, 15} does not.
-        assert prop35_verdict(pq(0, 10, 12, 15)).kind == "NotExcluded"
-        v = cor34_verdict(pq(0, 10, 12, 15))
+        assert prop35_verdict(prof(0, 10, 12, 15)).kind == "NotExcluded"
+        v = cor34_verdict(prof(0, 10, 12, 15))
         assert v.kind == "ExcludedCor34"
         assert v.witness == {"S": [12], "T": [10, 15], "P": 12, "Q": 30}
 
     def test_guard(self):
         lengths = tuple(range(2, 23))
         with pytest.raises(TooManyLengths):
-            cor34_verdict(ProfileQuery(0, lengths, (1,) * len(lengths)))
+            cor34_verdict(prof(0, *lengths))
+
+    def test_matches_sweep_with_explicit_side_conditions(self):
+        # Mutual non-division of P and Q already implies that each side's
+        # lcm misses some length, so verdicts and witnesses agree with the
+        # sweep that also checks this.
+        for k in (1, 2, 3, 4):
+            for lengths in combinations(range(2, 25), k):
+                v = cor34_verdict(prof(0, *lengths))
+                assert v.witness == oracles.cor34_sweep(lengths), lengths
+                assert v.excluded == (v.witness is not None)
 
     def test_prop35_positive_implies_cor34_positive(self):
         # Exhaust all strictly increasing length sets of size <= 3 from a
@@ -135,7 +153,7 @@ class TestCor34:
         pool = range(2, 13)
         for k in (2, 3):
             for lengths in combinations(pool, k):
-                q = pq(0, *lengths)
+                q = prof(0, *lengths)
                 if prop35_verdict(q).kind == "ExcludedProp35":
                     assert cor34_verdict(q).kind == "ExcludedCor34", lengths
 
@@ -192,30 +210,30 @@ class TestDecomposeLengths:
 
 class TestProp315:
     def test_6_10_15(self):
-        v = prop315_verdict(pq(2, 6, 10, 15))
+        v = prop315_verdict(prof(2, 6, 10, 15))
         assert v.kind == "ExcludedProp315"
         assert v.scope == "crossed-sets"
         assert (v.witness.p, v.witness.q, v.witness.r, v.witness.s) == (2, 3, 5, 1)
 
     def test_12_15_20(self):
-        assert prop315_verdict(pq(1, 12, 15, 20)).kind == "ExcludedProp315"
+        assert prop315_verdict(prof(1, 12, 15, 20)).kind == "ExcludedProp315"
 
     def test_divisibility_chain_not_excluded(self):
-        assert prop315_verdict(pq(3, 2, 4, 8)).kind == "NotExcluded"
+        assert prop315_verdict(prof(3, 2, 4, 8)).kind == "NotExcluded"
 
     def test_wrong_shape_not_applicable(self):
-        assert prop315_verdict(pq(0, 2, 4)).kind == "NotApplicable"
-        assert prop315_verdict(ProfileQuery(0, (2, 3, 6), (2, 1, 1))).kind == "NotApplicable"
+        assert prop315_verdict(prof(0, 2, 4)).kind == "NotApplicable"
+        assert prop315_verdict(prof(0, 2, 3, 6, mults=(2, 1, 1))).kind == "NotApplicable"
 
     def test_defers_to_split_rule(self):
-        v = prop315_verdict(pq(0, 2, 3, 5))
+        v = prop315_verdict(prof(0, 2, 3, 5))
         assert v.kind == "ExcludedProp35"
         assert v.rules_consulted == ("Prop315", "Prop35")
 
     def test_deferral_can_still_be_inconclusive(self):
         # (10, 12, 15): 12 does not divide lcm(10, 15) = 30, and neither
         # contiguous split fires.
-        v = prop315_verdict(pq(0, 10, 12, 15))
+        v = prop315_verdict(prof(0, 10, 12, 15))
         assert v.kind == "NotExcluded"
         assert v.rules_consulted == ("Prop315", "Prop35")
 
@@ -245,7 +263,7 @@ class TestFullVerdict:
 
     def test_bad_scope(self):
         with pytest.raises(ValueError):
-            full_verdict(pq(0, 2), "everything")
+            full_verdict(prof(0, 2), "everything")
 
     def test_census_soundness_in_both_scopes(self, rack_reps):
         # No real indecomposable rack's profile may be excluded in rack
@@ -255,7 +273,7 @@ class TestFullVerdict:
             for rt in rack_reps[n]:
                 if not rq.is_indecomposable(rt):
                     continue
-                q = ProfileQuery.from_profile(rq.rack_profile(rt))
+                q = rq.rack_profile(rt)
                 assert not full_verdict(q, "racks").excluded, rt.rows
                 if rq.is_crossed_set(rt):
                     assert not full_verdict(q, "crossed-sets").excluded, rt.rows
@@ -265,7 +283,7 @@ class TestFullVerdict:
         for rt in rack_reps6:
             if not rq.is_indecomposable(rt):
                 continue
-            q = ProfileQuery.from_profile(rq.rack_profile(rt))
+            q = rq.rack_profile(rt)
             assert not full_verdict(q, "racks").excluded
             if rq.is_crossed_set(rt):
                 assert not full_verdict(q, "crossed-sets").excluded
@@ -276,7 +294,7 @@ class TestFullVerdict:
         # divisibility conjecture (largest length 100 sweep).
         for k in (1, 2, 3):
             for lengths in combinations(range(2, 101), k):
-                q = pq(0, *lengths)
+                q = prof(0, *lengths)
                 v = full_verdict(q, "crossed-sets")
                 if not v.excluded:
                     assert hayashi_check(q), lengths
