@@ -57,8 +57,21 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+def _ascii_int(text: str) -> int:
+    """argparse type for integer arguments: ``int`` on ASCII text only, so
+    digits such as Arabic-Indic ones are refused."""
+    try:
+        if not text.isascii():
+            raise ValueError(text)
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_point_list(text: str) -> list[int]:
     try:
+        if not text.isascii():
+            raise ValueError(text)
         return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError as exc:
         raise ValueError(f"bad point list {text!r}: expected comma-separated integers") from exc
@@ -152,7 +165,7 @@ def _parse_cycle_notation(degree: int, text: str) -> tuple[int, ...]:
                 token = ""
                 depth = 0
                 cycles.append(current)
-            elif ch.isdigit():
+            elif "0" <= ch <= "9":
                 token += ch
             elif ch in " ,\t":
                 flush_token()
@@ -210,28 +223,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hayashi)
 
     p = sub.add_parser("enumerate", help="census of all tables of one order up to isomorphism")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_ascii_int, required=True)
     p.add_argument("--quandle", action="store_true")
     p.add_argument("--crossed-set", action="store_true")
     p.add_argument("--braided", action="store_true")
     p.add_argument("--indecomposable", action="store_true")
     p.add_argument("--dump", metavar="DIR", help="write each representative table to DIR")
-    p.add_argument("--threads", type=int, default=None, help="parallel search processes")
+    p.add_argument("--threads", type=_ascii_int, default=None, help="parallel search processes")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("make", help="construct a table from a named family")
     make_sub = p.add_subparsers(dest="family", required=True)
 
     q = make_sub.add_parser("trivial")
-    q.add_argument("order", type=int)
+    q.add_argument("order", type=_ascii_int)
     q.set_defaults(func=_cmd_make, build=lambda a: constructors.trivial(a.order))
 
     q = make_sub.add_parser("cyclic")
-    q.add_argument("order", type=int)
+    q.add_argument("order", type=_ascii_int)
     q.set_defaults(func=_cmd_make, build=lambda a: constructors.cyclic_rack(a.order))
 
     q = make_sub.add_parser("dihedral")
-    q.add_argument("order", type=int)
+    q.add_argument("order", type=_ascii_int)
     q.set_defaults(func=_cmd_make, build=lambda a: constructors.dihedral(a.order))
 
     q = make_sub.add_parser("affine")
@@ -244,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_make, build=_build_affine)
 
     q = make_sub.add_parser("conj")
-    q.add_argument("--degree", type=int, required=True, help="symmetric group degree")
+    q.add_argument("--degree", type=_ascii_int, required=True, help="symmetric group degree")
     q.add_argument("--rep", required=True, help='class representative, e.g. "(1 2)"')
     q.set_defaults(func=_cmd_make, build=_build_conj)
 

@@ -50,11 +50,7 @@ class NonPositive(ProfileError):
     pass
 
 
-class TooManyLengths(ProfileError):
-    pass
-
-
-_TERM = re.compile(r"(\d+)(?:\^(\d+))?\Z")
+_TERM = re.compile(r"([0-9]+)(?:\^([0-9]+))?\Z")
 
 
 def parse_profile(text: str) -> CycleProfile:
@@ -102,12 +98,17 @@ def prop35_verdict(pf: CycleProfile) -> ObstructionVerdict:
 
     Excluded if for some split index i the lcm of the first i lengths and
     the lcm of the rest do not divide each other.  The witness records the
-    first such split.
+    first such split.  Linear in the number of lengths: the suffix lcms
+    are built once and the prefix lcm is carried along.
     """
     ls = pf.moving_lengths()
+    suffix = list(ls)
+    for i in range(len(ls) - 2, 0, -1):
+        suffix[i] = math.lcm(suffix[i], suffix[i + 1])
+    p = 1
     for i in range(1, len(ls)):
-        p = math.lcm(*ls[:i])
-        q = math.lcm(*ls[i:])
+        p = math.lcm(p, ls[i - 1])
+        q = suffix[i]
         if q % p != 0 and p % q != 0:
             return ObstructionVerdict(
                 EXCLUDED_PROP35, SCOPE_RACKS, {"i": i, "P": p, "Q": q}, ("Prop35",)
@@ -115,7 +116,17 @@ def prop35_verdict(pf: CycleProfile) -> ObstructionVerdict:
     return ObstructionVerdict(NOT_EXCLUDED, SCOPE_RACKS, None, ("Prop35",))
 
 
-MAX_BIPARTITION_LENGTHS = 20
+def _upper_sets(ls: tuple[int, ...]) -> list[int]:
+    """Distinct index sets {j : q divides ls[j]} over prime powers q > 1,
+    as bitmasks (bit j for ls[j]), in ascending numeric order."""
+    masks: dict[int, int] = {}
+    for j, length in enumerate(ls):
+        for prime, e in _factorize(length):
+            q = 1
+            for _ in range(e):
+                q *= prime
+                masks[q] = masks.get(q, 0) | 1 << j
+    return sorted(set(masks.values()))
 
 
 def cor34_verdict(pf: CycleProfile) -> ObstructionVerdict:
@@ -125,23 +136,28 @@ def cor34_verdict(pf: CycleProfile) -> ObstructionVerdict:
     lengths into non-empty S, T has lcms P, Q that do not divide each
     other.  Then some length of T does not divide P and some length of S
     does not divide Q, so neither fixed set can be the whole carrier.
-    Exponential in the number of lengths, guarded at
-    MAX_BIPARTITION_LENGTHS.
+
+    Decided in polynomial time.  P fails to divide Q exactly when, for
+    some prime power p^e, S holds every length that p^e divides (an upper
+    set lies in S); likewise Q fails to divide P exactly when an upper set
+    lies in T.  So an exclusion exists exactly when two non-empty upper
+    sets are disjoint.  The witness is the first bipartition in mask order
+    (bit j puts the j-th length in S; the last length stays in T).  Every
+    qualifying S contains an upper set that avoids the last length and is
+    disjoint from another one, and that upper set qualifies as S by
+    itself, so the first S is the smallest such upper set.
     """
     ls = pf.moving_lengths()
-    k = len(ls)
-    if k > MAX_BIPARTITION_LENGTHS:
-        raise TooManyLengths(f"bipartition rule is guarded at {MAX_BIPARTITION_LENGTHS} lengths")
-    # Keep the last length on the T side so each unordered bipartition is
-    # visited exactly once, in deterministic mask order.
-    for mask in range(1, 1 << max(k - 1, 0)):
-        s_side = [ls[j] for j in range(k - 1) if mask >> j & 1]
-        t_side = [l for l in ls if l not in s_side]
-        p = math.lcm(*s_side)
-        q = math.lcm(*t_side)
-        if q % p != 0 and p % q != 0:
-            witness = {"S": s_side, "T": t_side, "P": p, "Q": q}
-            return ObstructionVerdict(EXCLUDED_COR34, SCOPE_RACKS, witness, ("Cor34",))
+    if len(ls) > 1:
+        uppers = _upper_sets(ls)
+        last = 1 << (len(ls) - 1)
+        for mask in uppers:
+            if mask < last and any(mask & other == 0 for other in uppers):
+                s_side = [l for j, l in enumerate(ls) if mask >> j & 1]
+                t_side = [l for j, l in enumerate(ls) if not mask >> j & 1]
+                p, q = math.lcm(*s_side), math.lcm(*t_side)
+                witness = {"S": s_side, "T": t_side, "P": p, "Q": q}
+                return ObstructionVerdict(EXCLUDED_COR34, SCOPE_RACKS, witness, ("Cor34",))
     return ObstructionVerdict(NOT_EXCLUDED, SCOPE_RACKS, None, ("Cor34",))
 
 

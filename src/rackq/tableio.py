@@ -83,7 +83,7 @@ def parse_table(text: str) -> TableDocument:
     if not data:
         raise TableSyntaxError("missing order line", line=1)
     head_line, head = data[0]
-    if not head.isdigit():
+    if not (head.isascii() and head.isdigit()):
         raise TableSyntaxError(f"order line must be a positive integer, got {head!r}", head_line)
     n = int(head)
     if n < 1:
@@ -99,7 +99,7 @@ def parse_table(text: str) -> TableDocument:
             raise BadDimensions(f"expected {n} entries, found {len(tokens)}", lineno)
         entries = []
         for col, token in enumerate(tokens, start=1):
-            if not token.isdigit():
+            if not (token.isascii() and token.isdigit()):
                 raise TableSyntaxError(f"bad integer {token!r}", lineno, col)
             value = int(token)
             if not 1 <= value <= n:

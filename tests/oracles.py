@@ -111,12 +111,23 @@ def orbit_of(rows, point):
     return frozenset(orbit)
 
 
+def prop35_splits(lengths):
+    """First contiguous split of the lcm rule, recomputing both lcms at
+    every split index.  Returns None if none fires."""
+    for i in range(1, len(lengths)):
+        p, q = math.lcm(*lengths[:i]), math.lcm(*lengths[i:])
+        if q % p != 0 and p % q != 0:
+            return {"i": i, "P": p, "Q": q}
+    return None
+
+
 def cor34_sweep(lengths):
     """First bipartition witness of the lcm rule, checking every condition.
 
-    Visits the bipartitions in the library's mask order (the last length
-    always on the T side) and also requires each side's lcm to miss some
-    length, as the rule was first stated.  Returns None if none fires.
+    Visits all 2^(k-1) bipartitions in the library's mask order (bit j puts
+    the j-th length on the S side; the last length always on the T side)
+    and also requires each side's lcm to miss some length, as the rule was
+    first stated.  Returns None if none fires.
     """
     k = len(lengths)
     for mask in range(1, 1 << max(k - 1, 0)):

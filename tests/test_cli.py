@@ -46,6 +46,17 @@ class TestMake:
         assert code == 1
         assert "invertible" in err
 
+    def test_conj_rep_takes_only_ascii_digits(self, capsys):
+        for rep in ("(\u0661 2)", "(\u00b2 2)"):
+            code, out, err = run(capsys, "make", "conj", "--degree", "4", "--rep", rep)
+            assert (code, out) == (1, ""), rep
+            assert "bad character" in err
+
+    def test_point_lists_take_only_ascii_digits(self, capsys):
+        code, _, err = run(capsys, "make", "affine", "--moduli", "\u0665", "--alpha", "2")
+        assert code == 1
+        assert "bad point list" in err
+
     def test_conj_rep_cycle_notation(self, capsys):
         code, out, _ = run(capsys, "make", "conj", "--degree", "5", "--rep", "(1 2)(3 4)")
         assert code == 0
@@ -92,6 +103,13 @@ class TestCheck:
         code, _, err = run_with_stdin(capsys, monkeypatch, "2\n1 1\n2 2\n", "check", "-")
         assert code == 1
         assert "row 0" in err
+
+    def test_non_ascii_entry_is_located(self, capsys, monkeypatch):
+        code, out, err = run_with_stdin(
+            capsys, monkeypatch, "2\n1 2\n2 \u00b2\n", "check", "-"
+        )
+        assert (code, out) == (1, "")
+        assert err == "line 3, column 2: bad integer '\u00b2'\n"
 
 
 class TestClosure:
@@ -146,6 +164,14 @@ class TestObstruct:
         _, out, _ = run(capsys, "obstruct", "--profile", "1^1 2 3")
         payload = json.loads(out)
         assert payload["kind"] == "ExcludedProp35"
+
+    def test_many_lengths_get_a_verdict(self, capsys):
+        divisors = [d for d in range(2, 720721) if 720720 % d == 0]
+        code, out, _ = run(capsys, "obstruct", "--profile", " ".join(map(str, divisors)))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kind"] == "NotExcluded"
+        assert payload["rules_consulted"] == ["Prop35", "Cor34"]
 
     def test_bad_profile(self, capsys):
         code, _, err = run(capsys, "obstruct", "--profile", "2 2")
@@ -228,6 +254,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["obstruct"])
         assert exc.value.code == 2
+
+    def test_integer_flags_take_only_ascii_digits(self, capsys):
+        for argv in (["make", "dihedral", "\u0663"], ["make", "dihedral", "x"],
+                     ["enumerate", "--order", "\u0662"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            assert f"invalid int value: {argv[-1]!r}" in capsys.readouterr().err
 
 
 class TestByteStability:

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,6 @@ from rackq import (
     DuplicateLength,
     NonPositive,
     ProfileSyntaxError,
-    TooManyLengths,
     cor34_verdict,
     decompose_lengths,
     full_verdict,
@@ -47,7 +47,7 @@ class TestParseProfile:
         assert pf.moving_lengths() == (2, 6, 10)
 
     def test_syntax_errors(self):
-        for bad in ("", "x", "2^", "^2", "2^3^4", "-2"):
+        for bad in ("", "x", "2^", "^2", "2^3^4", "-2", "\u0661 2", "2^\u00b2", "\uff12"):
             with pytest.raises(ProfileSyntaxError):
                 parse_profile(bad)
 
@@ -111,6 +111,13 @@ class TestProp35:
         b = prop35_verdict(prof(5, 2, 3, mults=(7, 9)))
         assert a.kind == b.kind == "ExcludedProp35"
 
+    def test_matches_quadratic_splits(self):
+        for k in range(1, 6):
+            for lengths in combinations(range(2, 25), k):
+                v = prop35_verdict(prof(0, *lengths))
+                assert v.witness == oracles.prop35_splits(lengths), lengths
+                assert v.excluded == (v.witness is not None)
+
 
 class TestCor34:
     def test_two_coprime_lengths(self):
@@ -133,9 +140,19 @@ class TestCor34:
         assert v.witness == {"S": [12], "T": [10, 15], "P": 12, "Q": 30}
 
     def test_guard(self):
-        lengths = tuple(range(2, 23))
-        with pytest.raises(TooManyLengths):
-            cor34_verdict(prof(0, *lengths))
+        # No length guard: sets far beyond the reach of the 2^(k-1) sweep
+        # get a verdict.  The divisors above 1 of 720720 are divisor-closed,
+        # so one side of every bipartition holds their lcm.
+        divisors = tuple(d for d in range(2, 720721) if 720720 % d == 0)
+        assert len(divisors) == 239
+        assert cor34_verdict(prof(0, *divisors)).kind == "NotExcluded"
+        v = cor34_verdict(prof(0, *range(2, 202)))
+        assert v.kind == "ExcludedCor34"
+        assert v.witness["S"] == [101]
+        assert sorted(v.witness["S"] + v.witness["T"]) == list(range(2, 202))
+        p, q = math.lcm(*v.witness["S"]), math.lcm(*v.witness["T"])
+        assert (v.witness["P"], v.witness["Q"]) == (p, q)
+        assert p % q != 0 and q % p != 0
 
     def test_matches_sweep_with_explicit_side_conditions(self):
         # Mutual non-division of P and Q already implies that each side's
@@ -146,6 +163,23 @@ class TestCor34:
                 v = cor34_verdict(prof(0, *lengths))
                 assert v.witness == oracles.cor34_sweep(lengths), lengths
                 assert v.excluded == (v.witness is not None)
+
+    def test_matches_sweep_on_seeded_longer_sets(self):
+        rng = random.Random(20191)
+        later_witnesses = 0
+        for _ in range(2000):
+            lengths = tuple(sorted(rng.sample(range(2, 200), rng.randint(5, 12))))
+            v = cor34_verdict(prof(0, *lengths))
+            assert v.witness == oracles.cor34_sweep(lengths), lengths
+            later_witnesses += v.excluded and v.witness["S"] != [lengths[0]]
+        assert later_witnesses > 0
+
+    @pytest.mark.slow
+    def test_matches_sweep_on_every_set_of_up_to_5_lengths(self):
+        for k in range(1, 6):
+            for lengths in combinations(range(2, 31), k):
+                v = cor34_verdict(prof(0, *lengths))
+                assert v.witness == oracles.cor34_sweep(lengths), lengths
 
     def test_prop35_positive_implies_cor34_positive(self):
         # Exhaust all strictly increasing length sets of size <= 3 from a

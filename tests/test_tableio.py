@@ -69,6 +69,16 @@ class TestParseTable:
             parse_table("2\n1 2\n2 x\n")
         assert (exc.value.line, exc.value.col) == (3, 2)
 
+    def test_only_ascii_digits(self):
+        # "\u00b2" (superscript two) and "\u0661" (Arabic-Indic one) pass
+        # str.isdigit but are not table entries.
+        cases = [("\u0661\n1\n", (1, None)), ("2\n1 2\n2 \u00b2\n", (3, 2)),
+                 ("2\n\u0661 2\n1 2\n", (2, 1))]
+        for text, where in cases:
+            with pytest.raises(TableSyntaxError) as exc:
+                parse_table(text)
+            assert (exc.value.line, exc.value.col) == where, text
+
 
 class TestEmitTable:
     def test_round_trip_families(self, family_tables):
