@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import constructors
@@ -57,24 +58,23 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _ascii_int(text: str) -> int:
-    """argparse type for integer arguments: ``int`` on ASCII text only, so
-    digits such as Arabic-Indic ones are refused."""
-    try:
-        if not text.isascii():
-            raise ValueError(text)
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    """argparse type for integer arguments: an optional minus sign and ASCII
+    digits only, so ``+5``, `` 5``, ``1_0`` and Arabic-Indic digits are
+    refused."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _parse_point_list(text: str) -> list[int]:
-    try:
-        if not text.isascii():
-            raise ValueError(text)
-        return [int(tok) for tok in text.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ValueError(f"bad point list {text!r}: expected comma-separated integers") from exc
+    tokens = text.replace(",", " ").split()
+    if not all(_INTEGER.fullmatch(tok) for tok in tokens):
+        raise ValueError(f"bad point list {text!r}: expected comma-separated integers")
+    return [int(tok) for tok in tokens]
 
 
 def _cmd_closure(args) -> int:

@@ -9,15 +9,23 @@ by an already-known product), only that single candidate is tried; the
 same pair checks still verify it, so the set of generated tables is
 unchanged and the stream stays in lexicographic order.
 
-Isomorphism rejection is by canonical form: the lexicographically minimal
-relabeling of the table.  Only tables equal to their canonical form are
-emitted.
+Isomorphism rejection is orderly (Read 1978; Faradzev 1978): a table is
+emitted only if it equals its canonical form, the lexicographically
+minimal relabeling.  Rows 0..r of a relabeling by s with s({0..r}) =
+{0..r} depend only on rows 0..r, so once such an s makes that prefix
+lex-smaller every completion has a smaller relabeling; the partial table
+is dropped right after row r is accepted.  At the last row the same
+sweep runs over all n! relabelings and, for a canonical table, counts
+those that fix it, which is |Aut(T)|.  Every filter is invariant under
+isomorphism, so the class of T holds n!/|Aut(T)| labelled tables.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
+from math import factorial
 from typing import Callable, Iterator
 
 from .core import RackTable, is_braided, is_crossed_set
@@ -84,6 +92,12 @@ def _perm_inverse_pairs(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]]
     return tuple((s, inverse(s)) for s in _perms(n))
 
 
+@lru_cache(maxsize=None)
+def _prefix_relabelings(n: int, r: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The non-identity (s, s^-1) with s({0..r}) = {0..r}; all n! - 1 at r = n - 1."""
+    return tuple((s, sinv) for s, sinv in _perm_inverse_pairs(n)[1:] if max(s[: r + 1]) == r)
+
+
 def _guard(n: int) -> None:
     if not 1 <= n <= MAX_ORDER:
         raise OrderTooLarge(n)
@@ -110,10 +124,50 @@ def _pairs_consistent(rows: list, r: int, n: int) -> bool:
     return True
 
 
-def _labelled_tables(
-    n: int, require_quandle: bool, first_row: tuple[int, ...] | None = None
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every valid labelled table (as a row tuple) in lex order."""
+def _compare_relabeled(rows, s, sinv, other, n: int) -> int:
+    """Sign of the relabeling of ``rows`` by s against ``other``.
+
+    Compares the first ``len(other)`` rows cell by cell in row-major
+    order and returns -1 or 1 at the first differing cell, or 0 if they
+    are equal.
+    """
+    for x in range(len(other)):
+        src = rows[sinv[x]]
+        ox = other[x]
+        for y in range(n):
+            v = s[src[sinv[y]]]
+            w = ox[y]
+            if v != w:
+                return -1 if v < w else 1
+    return 0
+
+
+def _prefix_automorphisms(rows, n: int) -> int:
+    """0 if the prefix rows 0..r cannot start a canonical table, else the
+    number of relabelings preserving {0..r} that leave it unchanged.
+
+    For a full table this is 0 or |Aut(T)|.
+    """
+    fixing = 1
+    for s, sinv in _prefix_relabelings(n, len(rows) - 1):
+        sign = _compare_relabeled(rows, s, sinv, rows, n)
+        if sign < 0:
+            return 0
+        fixing += sign == 0
+    return fixing
+
+
+@lru_cache(maxsize=None)
+def _first_rows(n: int, require_quandle: bool) -> tuple[tuple[int, ...], ...]:
+    """Row-0 candidates that can start a canonical table, in lex order."""
+    candidates = _perms_fixing(n, 0) if require_quandle else _perms(n)
+    return tuple(f for f in candidates if _prefix_automorphisms((f,), n))
+
+
+def _orderly_tables(
+    n: int, require_quandle: bool, first_rows: tuple[tuple[int, ...], ...]
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
+    """Yield (rows, |Aut|) for every canonical labelled table, in lex order."""
     all_rows = _perms(n)
     rows: list = []
 
@@ -125,20 +179,22 @@ def _labelled_tables(
                     rb = rows[b]
                     inv = inverse(ra)
                     return (tuple(ra[rb[inv[c]]] for c in range(n)),)
-        if r == 0 and first_row is not None:
-            return (first_row,)
+        if r == 0:
+            return first_rows
         return _perms_fixing(n, r) if require_quandle else all_rows
 
     def extend(r: int):
-        if r == n:
-            yield tuple(rows)
-            return
         for cand in candidates(r):
             if require_quandle and cand[r] != r:
                 continue
             rows.append(cand)
             if _pairs_consistent(rows, r, n):
-                yield from extend(r + 1)
+                fixing = _prefix_automorphisms(rows, n)
+                if fixing:
+                    if r == n - 1:
+                        yield tuple(rows), fixing
+                    else:
+                        yield from extend(r + 1)
             rows.pop()
 
     yield from extend(0)
@@ -154,35 +210,19 @@ def _passes(rt: RackTable, filt: EnumerationFilter) -> bool:
     return True
 
 
-def _compare_relabeled(rows, s, sinv, other, n: int) -> int:
-    """Sign of the relabeling of ``rows`` by s against ``other``.
-
-    Compares cell by cell in row-major order and returns -1 or 1 at the
-    first differing cell, or 0 if the tables are equal.
-    """
-    for x in range(n):
-        src = rows[sinv[x]]
-        ox = other[x]
-        for y in range(n):
-            v = s[src[sinv[y]]]
-            w = ox[y]
-            if v != w:
-                return -1 if v < w else 1
-    return 0
-
-
-def _is_canonical(rows: tuple[tuple[int, ...], ...], n: int) -> bool:
-    """True if no relabeling produces a lexicographically smaller table."""
-    return not any(
-        _compare_relabeled(rows, s, sinv, rows, n) < 0 for s, sinv in _perm_inverse_pairs(n)
-    )
-
-
-def _survivors(n: int, filt: EnumerationFilter, first_row=None) -> Iterator[RackTable]:
-    for rows in _labelled_tables(n, filt.require_quandle, first_row):
+def _representatives(
+    n: int, filt: EnumerationFilter, first_rows: tuple[tuple[int, ...], ...]
+) -> Iterator[tuple[RackTable, int]]:
+    for rows, automorphisms in _orderly_tables(n, filt.require_quandle, first_rows):
         rt = RackTable(n, rows)
         if _passes(rt, filt):
-            yield rt
+            yield rt, automorphisms
+
+
+def _search(n: int, filt: EnumerationFilter, workers: int | None):
+    if workers and workers > 1:
+        return chain.from_iterable(_parallel_batches(n, filt, workers))
+    return _representatives(n, filt, _first_rows(n, filt.require_quandle))
 
 
 def enumerate_racks(
@@ -195,14 +235,8 @@ def enumerate_racks(
     candidate order, which preserves the deterministic stream.
     """
     _guard(n)
-    filt = filt or EnumerationFilter()
-    if workers and workers > 1:
-        for batch in _parallel_batches(n, filt, workers):
-            yield from batch[1]
-        return
-    for rt in _survivors(n, filt):
-        if _is_canonical(rt.rows, n):
-            yield rt
+    for rt, _ in _search(n, filt or EnumerationFilter(), workers):
+        yield rt
 
 
 def census(
@@ -213,53 +247,38 @@ def census(
 ) -> CensusReport:
     """Count tables and bucket indecomposable representatives by profile.
 
+    ``total_up_to_iso`` counts canonical representatives.
     ``total_labelled`` counts every valid labelled table passing the
-    filters; ``total_up_to_iso`` counts canonical representatives.
+    filters, as the sum of n!/|Aut(T)| over the representatives T (the
+    orbit of T under relabeling has that size) rather than one by one.
     ``sink``, when given, receives each canonical representative.
     """
     _guard(n)
     filt = filt or EnumerationFilter()
     report = CensusReport(order=n, filters=filt, total_up_to_iso=0, total_labelled=0)
-
-    def record(rt: RackTable) -> None:
+    n_factorial = factorial(n)
+    for rt, automorphisms in _search(n, filt, workers):
+        report.total_labelled += n_factorial // automorphisms
         report.total_up_to_iso += 1
         if is_indecomposable(rt):
             key = str(rack_profile(rt))
             report.histogram[key] = report.histogram.get(key, 0) + 1
         if sink is not None:
             sink(rt)
-
-    if workers and workers > 1:
-        for labelled, reps in _parallel_batches(n, filt, workers):
-            report.total_labelled += labelled
-            for rt in reps:
-                record(rt)
-        return report
-    for rt in _survivors(n, filt):
-        report.total_labelled += 1
-        if _is_canonical(rt.rows, n):
-            record(rt)
     return report
 
 
-def _subtree_job(args) -> tuple[int, list[RackTable]]:
+def _subtree_job(args) -> list[tuple[RackTable, int]]:
     n, filt, first_row = args
-    labelled = 0
-    reps = []
-    for rt in _survivors(n, filt, first_row):
-        labelled += 1
-        if _is_canonical(rt.rows, n):
-            reps.append(rt)
-    return labelled, reps
+    return list(_representatives(n, filt, (first_row,)))
 
 
 def _parallel_batches(n: int, filt: EnumerationFilter, workers: int):
     import multiprocessing
 
-    firsts = _perms_fixing(n, 0) if filt.require_quandle else _perms(n)
-    jobs = [(n, filt, f) for f in firsts]
+    jobs = [(n, filt, f) for f in _first_rows(n, filt.require_quandle)]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=workers) as pool:
+    with ctx.Pool(processes=min(workers, len(jobs), os.cpu_count() or 1)) as pool:
         yield from pool.imap(_subtree_job, jobs)
 
 

@@ -11,7 +11,7 @@ def rack_reps():
 
 @pytest.fixture(scope="session")
 def rack_reps6():
-    """Canonical representatives of every rack of order 6 (the slow tier)."""
+    """Canonical representatives of every rack of order 6 (353 tables)."""
     return list(rq.enumerate_racks(6))
 
 

@@ -6,6 +6,8 @@ canonicalization machinery, so agreement between the two is meaningful.
 import math
 from itertools import permutations, product
 
+import rackq as rq
+
 
 def is_rack_table(rows) -> bool:
     """Literal evaluation of both axioms over every row and triple."""
@@ -142,3 +144,103 @@ def cor34_sweep(lengths):
         ):
             return {"S": s_side, "T": t_side, "P": p, "Q": q}
     return None
+
+
+def _inverse(p):
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return inv
+
+
+def _unpruned_labelled_tables(n, require_quandle):
+    """Every valid labelled table (as a row tuple) in lex order.
+
+    Row-by-row backtracking over permutations; a row forced by a known
+    product is the only candidate tried, and every self-distributivity
+    instance completed by a new row is checked, batched per pair of rows.
+    """
+    perms = list(permutations(range(n)))
+    rows = []
+
+    def candidates(r):
+        for a in range(r):
+            for b in range(r):
+                if rows[a][b] == r:
+                    ra, rb, inv = rows[a], rows[b], _inverse(rows[a])
+                    return [tuple(ra[rb[inv[c]]] for c in range(n))]
+        return [p for p in perms if p[r] == r] if require_quandle else perms
+
+    def consistent(r):
+        for a in range(r + 1):
+            for b in range(r + 1):
+                v = rows[a][b]
+                if v <= r and r in (a, b, v):
+                    ra, rb, rv = rows[a], rows[b], rows[v]
+                    if any(ra[rb[c]] != rv[ra[c]] for c in range(n)):
+                        return False
+        return True
+
+    def extend(r):
+        if r == n:
+            yield tuple(rows)
+            return
+        for cand in candidates(r):
+            if require_quandle and cand[r] != r:
+                continue
+            rows.append(cand)
+            if consistent(r):
+                yield from extend(r + 1)
+            rows.pop()
+
+    yield from extend(0)
+
+
+def _relabeling_is_smaller(rows, s, sinv):
+    """Cell-by-cell row-major comparison of the relabeled table with the
+    original, stopping at the first differing cell."""
+    n = len(rows)
+    for x in range(n):
+        src = rows[sinv[x]]
+        for y in range(n):
+            v, w = s[src[sinv[y]]], rows[x][y]
+            if v != w:
+                return v < w
+    return False
+
+
+def unpruned_census(n, filt):
+    """The census without pruning or orbit counting: the slow path that
+    the orderly search replaced.
+
+    Builds every labelled table passing the filters, counts them one by
+    one, and keeps those that no relabeling among all n! makes
+    lexicographically smaller.  The filters and the profile histogram use
+    the package's public predicates.  Returns the ``CensusReport`` and the
+    representatives' rows in stream order.
+    """
+    sigmas = [(s, _inverse(s)) for s in permutations(range(n))]
+    report = rq.CensusReport(order=n, filters=filt, total_up_to_iso=0, total_labelled=0)
+    reps = []
+    for rows in _unpruned_labelled_tables(n, filt.require_quandle):
+        rt = rq.RackTable(n, rows)
+        if filt.require_crossed_set and not rq.is_crossed_set(rt):
+            continue
+        if filt.require_braided and not rq.is_braided(rt):
+            continue
+        if filt.require_indecomposable and not rq.is_indecomposable(rt):
+            continue
+        report.total_labelled += 1
+        if any(_relabeling_is_smaller(rows, s, sinv) for s, sinv in sigmas):
+            continue
+        reps.append(rows)
+        report.total_up_to_iso += 1
+        if rq.is_indecomposable(rt):
+            key = str(rq.rack_profile(rt))
+            report.histogram[key] = report.histogram.get(key, 0) + 1
+    return report, reps
+
+
+def automorphism_count(rows):
+    """Number of relabelings that carry the table onto itself."""
+    return sum(relabel_table(rows, s) == rows for s in permutations(range(len(rows))))

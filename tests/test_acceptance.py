@@ -1,14 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-The order-6 census tiers are marked "slow"; everything else runs in the
-default lane.  Run the whole gate with plain ``pytest``, or skip the
-order-6 tiers with ``pytest -m "not slow"``.
+Every criterion, order-6 census tiers included, runs in the default lane:
+the orderly search builds the order-6 census in about a second.  None of
+these tests is marked "slow", so ``pytest -m "not slow"`` runs the whole
+gate too.
 """
 import json
 import math
 from itertools import combinations
-
-import pytest
 
 import rackq as rq
 from rackq import AffineSpec, EnumerationFilter
@@ -59,7 +58,6 @@ def test_criterion_3_split_rule_soundness_up_to_5():
     _ok("criterion 3", "no census profile through order 5 is excluded in rack scope")
 
 
-@pytest.mark.slow
 def test_criterion_3_split_rule_soundness_order_6(rack_reps6):
     profiles = {str(rq.rack_profile(rt)) for rt in _indecomposable_reps(rack_reps6)}
     _assert_no_excluded_profiles(profiles, 6)
@@ -73,7 +71,6 @@ def test_criterion_4_divisibility_up_to_5(rack_reps):
     _ok("criterion 4", "every indecomposable rack through order 5 satisfies divisibility")
 
 
-@pytest.mark.slow
 def test_criterion_4_divisibility_order_6(rack_reps6):
     racks = _indecomposable_reps(rack_reps6)
     for rt in racks:
@@ -153,7 +150,6 @@ def test_criterion_8_braided_degrees_up_to_5(rack_reps):
     _ok("criterion 8", f"{total} braided indecomposable racks have degree in {{1,2,3,4,6}}")
 
 
-@pytest.mark.slow
 def test_criterion_8_braided_degrees_order_6(rack_reps6):
     count = _check_braided_degrees(_indecomposable_reps(rack_reps6), 6)
     _ok("criterion 8 (order-6 tier)", f"{count} braided indecomposable racks checked")
@@ -225,7 +221,6 @@ def test_criterion_10_property_suites(rack_reps, family_tables):
     _ok("criterion 10", f"axiom and round-trip suites green on {len(tables)} tables")
 
 
-@pytest.mark.slow
 def test_criterion_10_property_suites_order_6(rack_reps6):
     _property_suite(rack_reps6)
     _ok("criterion 10 (order-6 tier)", f"suites green on {len(rack_reps6)} tables")

@@ -145,6 +145,15 @@ class TestClosure:
         assert code == 1
         assert "seed" in err
 
+    def test_seed_takes_only_plain_integers(self, capsys, monkeypatch):
+        _, table_text, _ = run(capsys, "make", "dihedral", "5")
+        for seed in ("1_0", "+1", "1,+2"):
+            code, out, err = run_with_stdin(
+                capsys, monkeypatch, table_text, "closure", "-", "--seed", seed
+            )
+            assert (code, out) == (1, ""), seed
+            assert f"bad point list {seed!r}" in err
+
 
 class TestObstruct:
     def test_crossed_scope_excludes(self, capsys):
@@ -262,6 +271,19 @@ class TestUsageErrors:
                 main(argv)
             assert exc.value.code == 2, argv
             assert f"invalid int value: {argv[-1]!r}" in capsys.readouterr().err
+
+    def test_integer_flags_take_only_plain_integers(self, capsys):
+        for text in ("1_0", "+5", " 5", "5 "):
+            for argv in (["make", "dihedral", text], ["enumerate", "--order", text]):
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2, argv
+                assert f"invalid int value: {text!r}" in capsys.readouterr().err
+
+    def test_negative_order_stays_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--order", "-3")
+        assert (code, out) == (1, "")
+        assert "guarded" in err
 
 
 class TestByteStability:

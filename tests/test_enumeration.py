@@ -1,9 +1,13 @@
+import math
+import multiprocessing
+import os
 import random
 from itertools import permutations
 
 import pytest
 
 import rackq as rq
+from rackq import enumeration
 from rackq import (
     EnumerationFilter,
     OrderTooLarge,
@@ -12,6 +16,7 @@ from rackq import (
     census,
     dihedral,
     enumerate_racks,
+    emit_report,
     relabel,
     trivial,
 )
@@ -68,10 +73,28 @@ class TestKnownCounts:
         rep = census(5, EnumerationFilter(require_quandle=True, require_indecomposable=True))
         assert rep.total_up_to_iso == 3
 
-    @pytest.mark.slow
     def test_connected_quandles_order_6(self):
         rep = census(6, EnumerationFilter(require_quandle=True, require_indecomposable=True))
         assert rep.total_up_to_iso == 2
+
+    def test_racks_order_6(self):
+        rep = census(6)
+        assert (rep.total_up_to_iso, rep.total_labelled) == (353, 36538)
+
+    # Published counts: OEIS A181771 (racks), A057851 (quandles) and
+    # A181769 (connected quandles).
+    @pytest.mark.slow
+    def test_racks_order_7(self):
+        assert census(7).total_up_to_iso == 2080
+
+    @pytest.mark.slow
+    def test_quandles_order_7(self):
+        assert census(7, EnumerationFilter(require_quandle=True)).total_up_to_iso == 298
+
+    @pytest.mark.slow
+    def test_connected_quandles_order_7(self):
+        rep = census(7, EnumerationFilter(require_quandle=True, require_indecomposable=True))
+        assert rep.total_up_to_iso == 5
 
     def test_histogram_sums_to_total_for_indecomposable(self, rack_reps):
         for n in range(1, 6):
@@ -190,3 +213,100 @@ class TestStreamContract:
         rep = census(3, sink=seen.append)
         assert len(seen) == rep.total_up_to_iso
         assert [rt.rows for rt in seen] == [rt.rows for rt in enumerate_racks(3)]
+
+
+# Every distinct filter combination: crossed sets imply quandles.
+FILTERS = [
+    EnumerationFilter(q, c, b, i)
+    for q, c in ((False, False), (True, False), (True, True))
+    for b in (False, True)
+    for i in (False, True)
+]
+
+
+def _filter_id(filt):
+    names = ("quandle", "crossed_set", "braided", "indecomposable")
+    return "+".join(name for name in names if getattr(filt, f"require_{name}")) or "racks"
+
+
+def _assert_matches_unpruned(n, filt):
+    expected, reps = oracles.unpruned_census(n, filt)
+    assert emit_report(census(n, filt)) == emit_report(expected), (n, filt)
+    assert [rt.rows for rt in enumerate_racks(n, filt)] == reps, (n, filt)
+
+
+class TestOrderlySearch:
+    """The pruned search with orbit counting against the unpruned one."""
+
+    @pytest.mark.parametrize("filt", FILTERS, ids=_filter_id)
+    def test_matches_unpruned_search_up_to_order_5(self, filt):
+        for n in range(1, 6):
+            _assert_matches_unpruned(n, filt)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("indecomposable", (False, True))
+    def test_matches_unpruned_search_order_6_quandles(self, indecomposable):
+        _assert_matches_unpruned(
+            6, EnumerationFilter(require_quandle=True, require_indecomposable=indecomposable)
+        )
+
+    def test_automorphism_counts(self, rack_reps):
+        for n in range(1, 8):
+            assert enumeration._prefix_automorphisms(trivial(n).rows, n) == math.factorial(n)
+        assert enumeration._prefix_automorphisms(dihedral(3).rows, 3) == 6
+        for rt in rack_reps[4]:
+            assert enumeration._prefix_automorphisms(rt.rows, 4) == oracles.automorphism_count(
+                rt.rows
+            )
+
+    def test_non_canonical_table_has_no_count(self):
+        moved = relabel(dihedral(5), (1, 0, 2, 3, 4))
+        assert canonical_form(moved) != moved
+        assert enumeration._prefix_automorphisms(moved.rows, 5) == 0
+
+    def test_first_rows_are_the_canonical_tables_first_rows(self, rack_reps):
+        for n in range(1, 6):
+            firsts = enumeration._first_rows(n, False)
+            assert firsts == tuple(sorted(firsts))
+            assert {rt.rows[0] for rt in rack_reps[n]} <= set(firsts)
+        assert len(enumeration._first_rows(5, False)) == 12
+
+
+class TestWorkerClamp:
+    """The pool size never exceeds the jobs or the CPUs.  The pool is
+    replaced by an in-process stand-in that records its size."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, jobs):
+                return map(func, jobs)
+
+        class Context:
+            Pool = RecordingPool
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context())
+        return sizes
+
+    @pytest.mark.parametrize(
+        "workers, cpus, expected",
+        [(10**9, 2, 2), (10**9, 64, 3), (2, 64, 2), (10**9, None, 1)],
+    )
+    def test_clamped(self, pool_sizes, monkeypatch, workers, cpus, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        filt = EnumerationFilter(require_quandle=True)
+        assert len(enumeration._first_rows(4, True)) == 3
+        rep = census(4, filt, workers=workers)
+        assert pool_sizes == [expected]
+        assert emit_report(rep) == emit_report(census(4, filt))

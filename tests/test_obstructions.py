@@ -312,7 +312,6 @@ class TestFullVerdict:
                 if rq.is_crossed_set(rt):
                     assert not full_verdict(q, "crossed-sets").excluded, rt.rows
 
-    @pytest.mark.slow
     def test_census_soundness_order_6(self, rack_reps6):
         for rt in rack_reps6:
             if not rq.is_indecomposable(rt):
