@@ -141,44 +141,40 @@ def _build_affine(args):
 
 
 def _parse_cycle_notation(degree: int, text: str) -> tuple[int, ...]:
-    """Parse 1-based cycle notation like "(1 2)(3 4)" into an image tuple."""
-    stripped = text.strip()
+    """Parse 1-based cycle notation like "(1 2)(3 4)" into an image tuple.
+
+    Points are ASCII digits separated by spaces, tabs or commas; each one
+    sits inside a pair of parentheses and appears at most once.
+    """
     cycles = []
-    if stripped:
-        depth = 0
-        current: list[int] = []
-        token = ""
-
-        def flush_token():
-            if token:
-                current.append(int(token))
-
-        for ch in stripped:
-            if ch == "(":
-                if depth:
-                    raise ValueError(f"nested parenthesis in cycle notation {text!r}")
-                depth = 1
-                current = []
-                token = ""
-            elif ch == ")":
-                flush_token()
-                token = ""
-                depth = 0
-                cycles.append(current)
-            elif "0" <= ch <= "9":
-                token += ch
-            elif ch in " ,\t":
-                flush_token()
-                token = ""
-            else:
-                raise ValueError(f"bad character {ch!r} in cycle notation {text!r}")
-        if depth:
-            raise ValueError(f"unclosed parenthesis in cycle notation {text!r}")
-    zero_based = [[p - 1 for p in cyc] for cyc in cycles if cyc]
-    for cyc in zero_based:
-        if any(not 0 <= p < degree for p in cyc):
-            raise ValueError(f"cycle point outside 1..{degree} in {text!r}")
-    return from_cycles(degree, zero_based)
+    current = None  # the open cycle, None between cycles
+    for digits, ch in re.findall(r"([0-9]+)|(.)", text.strip(), flags=re.DOTALL):
+        if digits:
+            if current is None:
+                raise ValueError(f"point {digits} outside parentheses in cycle notation {text!r}")
+            current.append(int(digits))
+        elif ch == "(":
+            if current is not None:
+                raise ValueError(f"nested parenthesis in cycle notation {text!r}")
+            current = []
+        elif ch == ")":
+            if current is None:
+                raise ValueError(f"unmatched ')' in cycle notation {text!r}")
+            cycles.append(current)
+            current = None
+        elif ch not in " ,\t":
+            raise ValueError(f"bad character {ch!r} in cycle notation {text!r}")
+    if current is not None:
+        raise ValueError(f"unclosed parenthesis in cycle notation {text!r}")
+    points = [p for cyc in cycles for p in cyc]
+    if any(not 1 <= p <= degree for p in points):
+        raise ValueError(f"cycle point outside 1..{degree} in {text!r}")
+    seen = set()
+    for p in points:
+        if p in seen:
+            raise ValueError(f"point {p} appears more than once in cycle notation {text!r}")
+        seen.add(p)
+    return from_cycles(degree, [[p - 1 for p in cyc] for cyc in cycles])
 
 
 def _build_conj(args):

@@ -6,11 +6,15 @@ sampled instances of every family through :func:`rackq.core.validate`.
 """
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter, mul
 
 from .core import RackTable
 from .errors import RackError
-from .perm import Perm, checked, compose, inverse
+from .perm import Perm, checked, compose, cycle_lengths, inverse
 
 
 class NonInvertibleAlpha(RackError):
@@ -42,10 +46,13 @@ def cyclic_rack(n: int) -> RackTable:
 
 
 def dihedral(n: int) -> RackTable:
-    """The dihedral quandle on Z_n: x acting on y gives 2x - y mod n."""
+    """The dihedral quandle on Z_n: x acting on y gives 2x - y mod n.
+
+    This is the affine quandle on Z_n with alpha = -1.
+    """
     if n < 1:
         raise ValueError(f"carrier size must be positive, got {n}")
-    return RackTable(n, tuple(tuple((2 * x - y) % n for y in range(n)) for x in range(n)))
+    return affine(AffineSpec((n,), ((-1,),)))
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,17 @@ class AffineSpec:
         )
 
 
+def _by_additivity(moduli: tuple[int, ...], zero, steps) -> list:
+    """Values of a map at every index, from its value at 0 and one step per
+    coordinate: the value at k + e_i is ``steps[i]`` of the value at k."""
+    values = [zero]
+    for mod, step in zip(moduli, steps):
+        stride = len(values)
+        for _ in range(mod - 1):
+            values.extend(map(step, values[-stride:]))
+    return values
+
+
 def affine(spec: AffineSpec) -> RackTable:
     """The affine (Alexander) quandle for ``spec``.
 
@@ -116,40 +134,34 @@ def affine(spec: AffineSpec) -> RackTable:
     A field presentation Aff(F_{p^k}, alpha) with k > 1 is covered by this
     same code path: write the field as (Z_p)^k and pass the matrix of
     multiplication by alpha in a basis.
+
+    Everything works on element indices.  ``add[k]`` is the translation
+    y -> k + y as an index array, composed from the unit translations;
+    alpha and 1 - alpha are extended from the unit vectors by additivity,
+    and row x is ``add[(1 - alpha)(x)]`` read at alpha's index array.
     """
     n = spec.size
     moduli = spec.moduli
-    if len(moduli) == 1:
-        # Single cyclic factor: indices are the group elements themselves,
-        # and each row is "add a constant" composed with the alpha image,
-        # i.e. a rotation lookup applied to one precomputed row.
-        mod = moduli[0]
-        a = spec.alpha[0][0] % mod
-        alpha_img = tuple((a * y) % mod for y in range(mod))
-        if len(set(alpha_img)) != mod:
-            raise NonInvertibleAlpha(f"alpha={a} is not invertible mod {mod}")
-        rows = []
-        for x in range(mod):
-            c = (x - alpha_img[x]) % mod
-            shift = tuple(range(c, mod)) + tuple(range(c))
-            rows.append(tuple(map(shift.__getitem__, alpha_img)))
-        return RackTable(mod, tuple(rows))
+    units = []
+    for mod, stride in zip(moduli, accumulate(moduli, mul, initial=1)):
+        span = mod * stride  # k + e_i adds stride to k, wrapping within its span
+        units.append(itemgetter(*(k - k % span + (k + stride) % span for k in range(n))))
+    add = _by_additivity(moduli, tuple(range(n)), units)
 
-    elements = spec.elements()
-    images = [spec.apply_alpha(e) for e in elements]
-    if len(set(images)) != n:
+    def extend(matrix) -> list[int]:
+        """Index array of the additive map sending e_j to column j of ``matrix``."""
+        steps = [add[spec.index_of(column)].__getitem__ for column in zip(*matrix)]
+        return _by_additivity(moduli, 0, steps)
+
+    alpha = extend(spec.alpha)
+    if len(set(alpha)) != n:
+        if len(moduli) == 1:
+            raise NonInvertibleAlpha(f"alpha={spec.alpha[0][0] % n} is not invertible mod {n}")
         raise NonInvertibleAlpha(f"alpha={spec.alpha!r} is not a bijection on the group")
-    m = len(moduli)
-    rows = []
-    for x, ex in enumerate(elements):
-        ax = images[x]
-        shift = tuple((ex[i] - ax[i]) % moduli[i] for i in range(m))
-        row = []
-        for y in range(n):
-            ay = images[y]
-            row.append(spec.index_of(tuple(shift[i] + ay[i] for i in range(m))))
-        rows.append(tuple(row))
-    return RackTable(n, tuple(rows))
+    shift = extend([[(i == j) - a for j, a in enumerate(row)] for i, row in enumerate(spec.alpha)])
+    # The trailing 0 keeps itemgetter returning a tuple when n == 1.
+    read_alpha = itemgetter(*alpha, 0)
+    return RackTable(n, tuple(read_alpha(add[c])[:n] for c in shift))
 
 
 CLASS_SIZE_GUARD = 10_000
@@ -161,36 +173,39 @@ def conjugation_class_quandle(degree: int, rep: Perm) -> RackTable:
     The carrier is the conjugacy class of ``rep`` inside the symmetric
     group on ``degree`` points, sorted lexicographically by image array;
     x acting on y is the conjugate x y x^-1.  Raises
-    :class:`ClassTooLarge` past the CLASS_SIZE_GUARD.
+    :class:`ClassTooLarge` past the CLASS_SIZE_GUARD, sizing the class
+    from the cycle type of ``rep`` before building any of it.
     """
     if degree < 1:
         raise ValueError(f"degree must be positive, got {degree}")
     rep = checked(rep)
     if len(rep) != degree:
         raise ValueError(f"representative acts on {len(rep)} points, expected {degree}")
-    transpositions = []
-    for i in range(degree):
-        for j in range(i + 1, degree):
-            images = list(range(degree))
-            images[i], images[j] = j, i
-            transpositions.append(tuple(images))
-    # The class is the orbit of rep under conjugation; transpositions
-    # generate the group, so closing under them reaches the whole class.
+    lengths = Counter(cycle_lengths(rep))
+    fixed = lengths.pop(1, 0)
+    # d!/z_lambda, with the fixed points' 1^m1 m1! cancelled into d!/m1!
+    z = math.prod(k**m * math.factorial(m) for k, m in lengths.items())
+    if math.perm(degree, degree - fixed) // z > CLASS_SIZE_GUARD:
+        raise ClassTooLarge(f"conjugacy class exceeds {CLASS_SIZE_GUARD} elements")
+    # The class is the orbit of rep under conjugation; the adjacent
+    # transpositions t = (i i+1) generate the group, so closing under them
+    # reaches the whole class.  t commutes with g when g maps {i, i+1} to
+    # itself, and then t g t = g.
     members = {rep}
     frontier = [rep]
     while frontier:
-        nxt = []
-        for g in frontier:
-            for t in transpositions:
-                h = compose(t, compose(g, t))  # t g t^-1; transpositions are involutions
-                if h not in members:
-                    members.add(h)
-                    if len(members) > CLASS_SIZE_GUARD:
-                        raise ClassTooLarge(
-                            f"conjugacy class exceeds {CLASS_SIZE_GUARD} elements"
-                        )
-                    nxt.append(h)
-        frontier = nxt
+        g = frontier.pop()
+        for i in range(degree - 1):
+            if {g[i], g[i + 1]} == {i, i + 1}:
+                continue
+            h = list(g)
+            h[i], h[i + 1] = g[i + 1], g[i]
+            a, b = h.index(i), h.index(i + 1)
+            h[a], h[b] = i + 1, i
+            h = tuple(h)
+            if h not in members:
+                members.add(h)
+                frontier.append(h)
     carrier = sorted(members)
     index = {g: i for i, g in enumerate(carrier)}
     rows = []

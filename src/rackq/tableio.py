@@ -12,13 +12,12 @@ always produce identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
-from .core import ClassFlags, RackTable, validate
+from .core import RackTable, validate
 from .enumeration import CensusReport
 from .errors import RackError
 from .inner import OrbitPartition
-from .obstructions import LengthDecomposition, ObstructionVerdict
 from .perm import CycleProfile
 
 
@@ -139,41 +138,18 @@ def emit_table(table, name: str | None = None, source: str | None = None) -> str
 
 
 def report_object(value):
-    """Convert a domain value into plain JSON-serializable data."""
+    """One level of a domain value as JSON data.
+
+    A dataclass becomes an object of its fields in declaration order, except
+    the types whose JSON is not their fields, which have their own branch.
+    :func:`emit_report` hands this to ``json.dumps``, which calls it for
+    each value it cannot encode itself and encodes what it returns.
+    """
     if isinstance(value, CycleProfile):
         return {
             "m0": value.m0,
             "lengths": list(value.moving_lengths()),
             "mults": list(value.moving_mults()),
-        }
-    if isinstance(value, ObstructionVerdict):
-        return {
-            "kind": value.kind,
-            "scope": value.scope,
-            "witness": report_object(value.witness),
-            "rules_consulted": list(value.rules_consulted),
-        }
-    if isinstance(value, LengthDecomposition):
-        return {
-            "lengths": list(value.lengths),
-            "primes": list(value.primes),
-            "exponents": [list(e) for e in value.exponents],
-            "classes": list(value.classes),
-            "p": value.p,
-            "q": value.q,
-            "r": value.r,
-            "s": value.s,
-            "p_prime": value.p_prime,
-            "q_prime": value.q_prime,
-            "r_prime": value.r_prime,
-        }
-    if isinstance(value, ClassFlags):
-        return {
-            "is_quandle": value.is_quandle,
-            "is_crossed_set": value.is_crossed_set,
-            "is_braided": value.is_braided,
-            "is_indecomposable": value.is_indecomposable,
-            "degree": value.degree,
         }
     if isinstance(value, CensusReport):
         filt = value.filters
@@ -191,15 +167,13 @@ def report_object(value):
         }
     if isinstance(value, OrbitPartition):
         return [sorted(orbit) for orbit in value.orbits]
-    if isinstance(value, dict):
-        return {k: report_object(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [report_object(v) for v in value]
     if isinstance(value, frozenset):
         return sorted(value)
-    return value
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def emit_report(value) -> str:
     """Serialize a domain value as compact JSON with stable field order."""
-    return json.dumps(report_object(value), separators=(",", ":"))
+    return json.dumps(value, default=report_object, separators=(",", ":"))

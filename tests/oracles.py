@@ -244,3 +244,75 @@ def unpruned_census(n, filt):
 def automorphism_count(rows):
     """Number of relabelings that carry the table onto itself."""
     return sum(relabel_table(rows, s) == rows for s in permutations(range(len(rows))))
+
+
+def affine_two_branch(spec):
+    """The affine quandle as first built: a rotation lookup for a single
+    modulus, and per-element ``apply_alpha``/``index_of`` otherwise."""
+    n = spec.size
+    moduli = spec.moduli
+    if len(moduli) == 1:
+        mod = moduli[0]
+        a = spec.alpha[0][0] % mod
+        alpha_img = tuple((a * y) % mod for y in range(mod))
+        if len(set(alpha_img)) != mod:
+            raise rq.NonInvertibleAlpha(f"alpha={a} is not invertible mod {mod}")
+        rows = []
+        for x in range(mod):
+            c = (x - alpha_img[x]) % mod
+            shift = tuple(range(c, mod)) + tuple(range(c))
+            rows.append(tuple(map(shift.__getitem__, alpha_img)))
+        return rq.RackTable(mod, tuple(rows))
+    elements = spec.elements()
+    images = [spec.apply_alpha(e) for e in elements]
+    if len(set(images)) != n:
+        raise rq.NonInvertibleAlpha(f"alpha={spec.alpha!r} is not a bijection on the group")
+    m = len(moduli)
+    rows = []
+    for x, ex in enumerate(elements):
+        ax = images[x]
+        shift = tuple((ex[i] - ax[i]) % moduli[i] for i in range(m))
+        row = []
+        for y in range(n):
+            ay = images[y]
+            row.append(spec.index_of(tuple(shift[i] + ay[i] for i in range(m))))
+        rows.append(tuple(row))
+    return rq.RackTable(n, tuple(rows))
+
+
+def dihedral_formula(n):
+    """The dihedral quandle straight from x acting on y as 2x - y mod n."""
+    return rq.RackTable(n, tuple(tuple((2 * x - y) % n for y in range(n)) for x in range(n)))
+
+
+def conjugation_class_bfs(degree, rep):
+    """The conjugation quandle as first built: the class is closed under all
+    d(d-1)/2 transpositions, and the size guard is checked while it grows."""
+    transpositions = []
+    for i in range(degree):
+        for j in range(i + 1, degree):
+            images = list(range(degree))
+            images[i], images[j] = j, i
+            transpositions.append(tuple(images))
+    members = {rep}
+    frontier = [rep]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for t in transpositions:
+                h = rq.compose(t, rq.compose(g, t))
+                if h not in members:
+                    members.add(h)
+                    if len(members) > rq.constructors.CLASS_SIZE_GUARD:
+                        raise rq.ClassTooLarge(
+                            f"conjugacy class exceeds {rq.constructors.CLASS_SIZE_GUARD} elements"
+                        )
+                    nxt.append(h)
+        frontier = nxt
+    carrier = sorted(members)
+    index = {g: i for i, g in enumerate(carrier)}
+    rows = []
+    for g in carrier:
+        ginv = rq.inverse(g)
+        rows.append(tuple(index[rq.compose(g, rq.compose(h, ginv))] for h in carrier))
+    return rq.RackTable(len(carrier), tuple(rows))

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -62,6 +63,25 @@ class TestMake:
         assert code == 0
         rt = rq.load_table(out)
         assert rt.n == 15  # double transpositions in S_5
+
+    def test_conj_rep_malformed_cycle_notation(self, capsys):
+        cases = {
+            "1 2": "point 1 outside parentheses in cycle notation '1 2'",
+            "(1 2)3": "point 3 outside parentheses in cycle notation '(1 2)3'",
+            "1 2)": "point 1 outside parentheses in cycle notation '1 2)'",
+            "(1 2))": "unmatched ')' in cycle notation '(1 2))'",
+            "(1 2)(2 3)": "point 2 appears more than once in cycle notation '(1 2)(2 3)'",
+            "(1 3 1)": "point 1 appears more than once in cycle notation '(1 3 1)'",
+        }
+        for rep, message in cases.items():
+            code, out, err = run(capsys, "make", "conj", "--degree", "3", "--rep", rep)
+            assert (code, out, err) == (1, "", message + "\n"), rep
+
+    def test_conj_class_too_large_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "make", "conj", "--degree", "1000", "--rep", "(1 2)")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", "conjugacy class exceeds 10000 elements\n")
 
 
 class TestProfilePipeline:

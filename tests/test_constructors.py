@@ -1,4 +1,6 @@
 import math
+import random
+import time
 
 import pytest
 
@@ -13,6 +15,7 @@ from rackq import (
     dihedral,
     trivial,
 )
+from rackq.tableio import emit_table
 
 import oracles
 
@@ -66,6 +69,23 @@ class TestDihedral:
         for n in range(2, 40):
             assert rq.classify(dihedral(n)).degree <= 2
 
+    def test_matches_formula(self):
+        for n in range(1, 61):
+            assert emit_table(dihedral(n)) == emit_table(oracles.dihedral_formula(n)), n
+
+
+def assert_same_affine(spec):
+    """affine() and the two-branch reference give the same table bytes, or
+    the same error type and message."""
+    try:
+        want = emit_table(oracles.affine_two_branch(spec))
+    except NonInvertibleAlpha as exc:
+        with pytest.raises(NonInvertibleAlpha) as got:
+            affine(spec)
+        assert str(got.value) == str(exc), spec
+    else:
+        assert emit_table(affine(spec)) == want, spec
+
 
 class TestAffine:
     def test_multiplication_by_two_mod_five(self):
@@ -82,14 +102,17 @@ class TestAffine:
         assert str(rq.pattern(rq.inner_map(rt, 0))) == "1^1 2^1 4^3"
 
     def test_non_invertible_alpha(self):
-        with pytest.raises(NonInvertibleAlpha):
+        with pytest.raises(NonInvertibleAlpha, match=r"^alpha=2 is not invertible mod 4$"):
             affine(AffineSpec((4,), ((2,),)))
-        with pytest.raises(NonInvertibleAlpha):
+        with pytest.raises(
+            NonInvertibleAlpha,
+            match=r"^alpha=\(\(1, 0\), \(1, 0\)\) is not a bijection on the group$",
+        ):
             affine(AffineSpec((2, 2), ((1, 0), (1, 0))))
 
     def test_multi_modulus_matches_single_path(self):
-        # A 1x1 matrix through the generic path must agree with the
-        # single-modulus fast path.
+        # On one modulus, affine() must agree with the per-element formula
+        # over the spec's own elements, index_of and apply_alpha.
         fast = affine(AffineSpec((6,), ((5,),)))
         spec = AffineSpec((6,), ((5,),))
         elements = spec.elements()
@@ -126,6 +149,29 @@ class TestAffine:
                 rt = affine(AffineSpec((n,), ((a,),)))
                 assert rq.is_indecomposable(rt) == (math.gcd(1 - a, n) == 1), (n, a)
 
+    def test_cyclic_groups_match_two_branch_reference(self):
+        for n in range(1, 61):
+            for a in range(-1, n + 1):
+                assert_same_affine(AffineSpec((n,), ((a,),)))
+
+    @pytest.mark.slow
+    def test_large_cyclic_groups_match_two_branch_reference(self):
+        for n in (99, 151, 199):
+            for a in range(-1, n + 1):
+                assert_same_affine(AffineSpec((n,), ((a,),)))
+
+    def test_seeded_matrices_match_two_branch_reference(self):
+        # The sweep's vector spaces, mixed moduli, and moduli that contain 1.
+        rng = random.Random(20191)
+        vector_spaces = ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2))
+        shapes = [(p,) * k for p, k in vector_spaces]
+        shapes += [(m, 2) for m in range(3, 8)] + [(2, 3, 1), (1, 1), (1, 4), (6, 1, 2)]
+        for moduli in shapes:
+            k = len(moduli)
+            for _ in range(20):
+                alpha = tuple(tuple(rng.randrange(-2, 8) for _ in range(k)) for _ in range(k))
+                assert_same_affine(AffineSpec(moduli, alpha))
+
     def test_bad_spec_shapes(self):
         with pytest.raises(ValueError):
             AffineSpec((), ())
@@ -133,6 +179,34 @@ class TestAffine:
             AffineSpec((3,), ((1, 0),))
         with pytest.raises(ValueError):
             AffineSpec((0,), ((1,),))
+
+
+def cycle_type_reps(degree):
+    """One permutation of each cycle type on ``degree`` points."""
+
+    def partitions(n, largest):
+        if n == 0:
+            yield []
+        for k in range(min(n, largest), 0, -1):
+            for rest in partitions(n - k, k):
+                yield [k, *rest]
+
+    for lengths in partitions(degree, degree):
+        rep, start = [], 0
+        for k in lengths:
+            rep += [start + (i + 1) % k for i in range(k)]
+            start += k
+        yield tuple(rep)
+
+
+def assert_same_classes(degree):
+    """Every cycle type on ``degree`` points gives the same table bytes as
+    the transposition-closure reference."""
+    reps = list(cycle_type_reps(degree))
+    assert len({rq.pattern(rep) for rep in reps}) == (1, 1, 2, 3, 5, 7, 11, 15)[degree]
+    for rep in reps:
+        want = emit_table(oracles.conjugation_class_bfs(degree, rep))
+        assert emit_table(conjugation_class_quandle(degree, rep)) == want, rep
 
 
 class TestConjugationClass:
@@ -164,6 +238,28 @@ class TestConjugationClass:
         nine_cycle = tuple(list(range(1, 9)) + [0])
         with pytest.raises(ClassTooLarge):
             conjugation_class_quandle(9, nine_cycle)
+
+    def test_every_cycle_type_up_to_s6_matches_reference(self):
+        for degree in range(1, 7):
+            assert_same_classes(degree)
+
+    @pytest.mark.slow
+    def test_every_cycle_type_of_s7_matches_reference(self):
+        assert_same_classes(7)
+
+    def test_class_is_sized_before_it_is_built(self):
+        # Transpositions of S_1000: 499,500 members.  Listing the 499,500
+        # transpositions alone would take gigabytes.
+        transposition = (1, 0, *range(2, 1000))
+        start = time.perf_counter()
+        with pytest.raises(ClassTooLarge, match=r"^conjugacy class exceeds 10000 elements$"):
+            conjugation_class_quandle(1000, transposition)
+        assert time.perf_counter() - start < 1.0
+
+    def test_large_degree_with_small_class(self):
+        start = time.perf_counter()
+        assert conjugation_class_quandle(20_000, tuple(range(20_000))) == trivial(1)
+        assert time.perf_counter() - start < 1.0
 
     def test_rep_must_match_degree(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import doctest
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -181,3 +183,9 @@ class TestFromCycles:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             from_cycles(3, [(0, 3)])
+
+
+def test_docstring_examples():
+    failed, attempted = doctest.testmod(perm)
+    assert attempted > 0
+    assert failed == 0
