@@ -1,8 +1,8 @@
 """Constructors for the classical rack and quandle families.
 
 All constructors return tables whose defining formulas satisfy the rack
-axioms, so they skip the cubic re-validation; the test suite re-validates
-sampled instances of every family through :func:`rackq.core.validate`.
+axioms, so they skip :func:`rackq.core.validate`; the test suite
+re-validates sampled instances of every family through it.
 """
 from __future__ import annotations
 

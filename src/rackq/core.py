@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import RackError
 from .perm import Perm, cycle_lengths, is_permutation, power
@@ -60,7 +61,7 @@ class RackTable:
 
     Construct untrusted tables through :func:`validate`.  The constructor
     itself performs no axiom checks, so that constructors whose defining
-    formulas guarantee the axioms can skip the cubic re-validation.
+    formulas guarantee the axioms can skip re-validation.
     """
 
     n: int
@@ -109,31 +110,57 @@ class ClassFlags:
 def validate(n: int, raw_table) -> RackTable:
     """Check both rack axioms and wrap the table.
 
-    Scans in row-major order and raises on the first violation found:
+    Raises on the first violation in row-major scan order:
     :class:`OutOfRangeEntry`, then :class:`R1Violation` for the first
     non-bijective row, then :class:`R2Violation` with the first failing
     triple.  Error witnesses are therefore deterministic.
+
+    R2 says every row is an automorphism, and the points whose rows are
+    automorphisms form a subrack, since r_{a▷b} = r_a r_b r_a⁻¹ when r_a is
+    one.  So rows are checked in order, skipping those in the closure of
+    the rows that passed; the first row that fails is still the first row
+    that is not an automorphism.  A row is checked with n whole-row
+    comparisons, and a row equal to one that passed needs no check.
+
+    The cost is O(g·n²) C-level steps, where g counts the rows checked:
+    each lies outside the closure of the earlier ones, so g is one or two
+    for dihedral and affine quandles.  The worst case is a rack with n
+    distinct rows that needs about n generators, such as a disjoint union
+    of many small quandles; trivial and cyclic racks have a single row
+    and cost O(n²).
     """
     if n < 1:
         raise ValueError(f"carrier size must be positive, got {n}")
     rows = tuple(tuple(row) for row in raw_table)
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"expected an {n}x{n} table")
-    for x, row in enumerate(rows):
-        for y, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise OutOfRangeEntry(x, y, v, n)
-    for x, row in enumerate(rows):
-        if not is_permutation(row):
-            raise R1Violation(x)
-    for x in range(n):
-        rx = rows[x]
-        for y in range(n):
-            ry = rows[y]
-            rv = rows[rx[y]]
-            for z in range(n):
-                if rx[ry[z]] != rv[rx[z]]:
+    carrier = set(range(n))
+    if not all(set(map(type, row)) == {int} and set(row) == carrier for row in rows):
+        # Some row is not a permutation of ints: scan entry by entry for the witness.
+        for x, row in enumerate(rows):
+            for y, v in enumerate(row):
+                if not isinstance(v, int) or not 0 <= v < n:
+                    raise OutOfRangeEntry(x, y, v, n)
+        for x, row in enumerate(rows):
+            if not is_permutation(row):
+                raise R1Violation(x)
+    # get[y](r) reads r at the entries of row y, so get[y](r_x) is r_x r_y.
+    get = [itemgetter(*row) for row in rows]
+    passed = set()
+    closed: set[int] = set()
+    for x, rx in enumerate(rows):
+        if x in closed:
+            continue
+        if rx not in passed:
+            gx = get[x]
+            for y, ry in enumerate(rows):
+                rv = rows[rx[y]]
+                if get[y](rx) != gx(rv):
+                    z = next(z for z in range(n) if rx[ry[z]] != rv[rx[z]])
                     raise R2Violation(x, y, z)
+            passed.add(rx)
+        closed.add(x)
+        _saturate(rows, closed, [x])
     return RackTable(n, rows)
 
 
@@ -182,27 +209,37 @@ def is_braided(r: RackTable) -> bool:
 def subrack_closure(r: RackTable, seed) -> frozenset[int]:
     """Smallest superset of ``seed`` closed under the rack operation.
 
-    Worklist saturation over pairs.  Closure under the binary operation
-    alone suffices for finite racks: a finite subset closed under the
-    operation is closed under each translation, and a bijection restricted
-    to a finite invariant set is bijective on it, so the subset is itself
-    a rack.
+    Worklist saturation over pairs, shared with :func:`validate`.  Closure
+    under the binary operation alone suffices for finite racks: a finite
+    subset closed under the operation is closed under each translation,
+    and a bijection restricted to a finite invariant set is bijective on
+    it, so the subset is itself a rack.
     """
     members = set(seed)
     if not members:
         raise ValueError("seed must be non-empty")
     if any(not 0 <= p < r.n for p in members):
         raise ValueError(f"seed points must lie in 0..{r.n - 1}")
-    rows = r.rows
-    queue = sorted(members)
-    while queue:
-        z = queue.pop()
-        for a in tuple(members):
-            for w in (rows[a][z], rows[z][a]):
-                if w not in members:
-                    members.add(w)
-                    queue.append(w)
+    _saturate(r.rows, members, list(members))
     return frozenset(members)
+
+
+def _saturate(rows, members: set[int], fresh: list[int]) -> None:
+    """Extend ``members`` in place to its closure under the operation.
+
+    ``fresh`` lists the members added since ``members`` was last closed
+    (all of them, for a bare seed).  Each point popped is combined with
+    every member on both sides; the loop stops early once the carrier is
+    covered.
+    """
+    while fresh and len(members) < len(rows):
+        z = fresh.pop()
+        rz = rows[z]
+        new = set(map(rz.__getitem__, members))
+        new.update(map(itemgetter(z), map(rows.__getitem__, members)))
+        new -= members
+        members |= new
+        fresh.extend(new)
 
 
 def is_subrack(r: RackTable, points) -> bool:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import repeat
+from operator import sub
 
 from .core import RackTable, validate
 from .enumeration import CensusReport
@@ -54,7 +56,7 @@ class TableDocument:
 
     def to_rack(self) -> RackTable:
         """Shift to 0-based and run full axiom validation."""
-        return validate(self.order, [[v - 1 for v in row] for row in self.rows])
+        return validate(self.order, [tuple(map(sub, row, repeat(1))) for row in self.rows])
 
 
 def parse_table(text: str) -> TableDocument:
@@ -91,11 +93,20 @@ def parse_table(text: str) -> TableDocument:
     if len(body) != n:
         reported = body[-1][0] if body else head_line
         raise BadDimensions(f"expected {n} table rows, found {len(body)}", reported)
+    width = len(str(n))
     rows = []
     for lineno, line in body:
         tokens = line.split()
         if len(tokens) != n:
             raise BadDimensions(f"expected {n} entries, found {len(tokens)}", lineno)
+        # A line of ASCII numerals in 1..n is read in one C-level pass.  The
+        # width bound keeps int() from raising here; any other line goes
+        # token by token, which reports the first bad entry and its column.
+        if line.isascii() and "".join(tokens).isdigit() and max(map(len, tokens)) <= width:
+            entries = tuple(map(int, tokens))
+            if 1 <= min(entries) and max(entries) <= n:
+                rows.append(entries)
+                continue
         entries = []
         for col, token in enumerate(tokens, start=1):
             if not (token.isascii() and token.isdigit()):

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 import rackq as rq
+
+# Property tests draw the same examples on every run, so a pass or a failure
+# is reproducible and the suite's time is bounded.
+settings.register_profile("deterministic", derandomize=True, max_examples=100, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

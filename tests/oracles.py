@@ -316,3 +316,77 @@ def conjugation_class_bfs(degree, rep):
         ginv = rq.inverse(g)
         rows.append(tuple(index[rq.compose(g, rq.compose(h, ginv))] for h in carrier))
     return rq.RackTable(len(carrier), tuple(rows))
+
+
+def validate_cubic(n, raw_table):
+    """``rackq.core.validate`` as first built: entry and row scans, then
+    self-distributivity checked on every triple in row-major order."""
+    if n < 1:
+        raise ValueError(f"carrier size must be positive, got {n}")
+    rows = tuple(tuple(row) for row in raw_table)
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"expected an {n}x{n} table")
+    for x, row in enumerate(rows):
+        for y, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise rq.OutOfRangeEntry(x, y, v, n)
+    for x, row in enumerate(rows):
+        if not rq.is_permutation(row):
+            raise rq.R1Violation(x)
+    for x in range(n):
+        rx = rows[x]
+        for y in range(n):
+            ry = rows[y]
+            rv = rows[rx[y]]
+            for z in range(n):
+                if rx[ry[z]] != rv[rx[z]]:
+                    raise rq.R2Violation(x, y, z)
+    return rq.RackTable(n, rows)
+
+
+def parse_table_per_token(text):
+    """``rackq.parse_table`` as first built: every body entry is checked
+    token by token."""
+    name = None
+    source = None
+    data = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            body = stripped[1:].strip()
+            lowered = body.lower()
+            if lowered.startswith("name:"):
+                name = body[len("name:"):].strip()
+            elif lowered.startswith("source:"):
+                source = body[len("source:"):].strip()
+            continue
+        data.append((lineno, stripped))
+    if not data:
+        raise rq.TableSyntaxError("missing order line", line=1)
+    head_line, head = data[0]
+    if not (head.isascii() and head.isdigit()):
+        raise rq.TableSyntaxError(f"order line must be a positive integer, got {head!r}", head_line)
+    n = int(head)
+    if n < 1:
+        raise rq.TableSyntaxError(f"order must be positive, got {n}", head_line)
+    body = data[1:]
+    if len(body) != n:
+        reported = body[-1][0] if body else head_line
+        raise rq.BadDimensions(f"expected {n} table rows, found {len(body)}", reported)
+    rows = []
+    for lineno, line in body:
+        tokens = line.split()
+        if len(tokens) != n:
+            raise rq.BadDimensions(f"expected {n} entries, found {len(tokens)}", lineno)
+        entries = []
+        for col, token in enumerate(tokens, start=1):
+            if not (token.isascii() and token.isdigit()):
+                raise rq.TableSyntaxError(f"bad integer {token!r}", lineno, col)
+            value = int(token)
+            if not 1 <= value <= n:
+                raise rq.EntryOutOfRange(f"entry {value} outside 1..{n}", lineno, col)
+            entries.append(value)
+        rows.append(tuple(entries))
+    return rq.TableDocument(n, tuple(rows), name, source)

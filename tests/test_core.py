@@ -1,4 +1,8 @@
+import random
+import time
+
 import pytest
+from hypothesis import given, strategies as st
 
 import rackq as rq
 from rackq import (
@@ -64,6 +68,95 @@ class TestValidate:
             except rq.TableValidationError:
                 got = False
             assert got == expected
+
+
+def validate_outcome(check, n, rows):
+    """The table ``check`` returns, or the type, message and witness
+    attributes of what it raises."""
+    try:
+        return check(n, rows)
+    except (rq.TableValidationError, ValueError) as exc:
+        return type(exc).__name__, str(exc), vars(exc)
+
+
+def mutations(rows, rng):
+    """Seeded defects of one table: an entry swap inside a row, a replaced
+    row, a row copied from another, an out-of-range entry, and a ``True``
+    and a ``1.0`` entry."""
+    n = len(rows)
+
+    def edit(change):
+        table = [list(row) for row in rows]
+        change(table, rng.randrange(n), rng.randrange(n))
+        return table
+
+    def swap(t, x, y):
+        z = rng.randrange(n)
+        t[x][y], t[x][z] = t[x][z], t[x][y]
+
+    def replace(t, x, _):
+        t[x] = rng.sample(range(n), n)
+
+    def copy(t, x, y):
+        t[x] = list(t[y])
+
+    def out_of_range(t, x, y):
+        t[x][y] = rng.choice((-1, n, n + 3))
+
+    def true(t, x, y):
+        t[x][y] = True
+
+    def float_one(t, x, y):
+        t[x][y] = 1.0
+
+    return [edit(f) for f in (swap, replace, copy, out_of_range, true, float_one)]
+
+
+def tables(max_n=4):
+    """Arbitrary square tables: each row a permutation, or entries in -1..n and booleans."""
+    def of_order(n):
+        row = st.one_of(
+            st.permutations(range(n)),
+            st.lists(st.one_of(st.integers(-1, n), st.booleans()), min_size=n, max_size=n),
+        )
+        return st.lists(row, min_size=n, max_size=n)
+
+    return st.integers(1, max_n).flatmap(of_order)
+
+
+class TestValidateMatchesCubicScan:
+    """validate checks R2 on a generating set of rows; the cubic scan in
+    ``oracles.validate_cubic`` checks every triple.  Both must give the same
+    table or the same exception, message and witness."""
+
+    def assert_same(self, rows):
+        n = len(rows)
+        want = validate_outcome(oracles.validate_cubic, n, rows)
+        assert validate_outcome(validate, n, rows) == want, rows
+
+    def test_families_and_their_mutations(self, family_tables):
+        rng = random.Random(2019)
+        for rt in family_tables.values():
+            self.assert_same(rt.rows)
+            for rows in mutations(rt.rows, rng):
+                self.assert_same(rows)
+
+    def test_racks_up_to_order_6_and_their_mutations(self, rack_reps, rack_reps6):
+        rng = random.Random(2019)
+        for rt in [rt for n in sorted(rack_reps) for rt in rack_reps[n]] + rack_reps6:
+            self.assert_same(rt.rows)
+            for rows in mutations(rt.rows, rng):
+                self.assert_same(rows)
+
+    @given(tables())
+    def test_arbitrary_small_tables(self, rows):
+        self.assert_same(rows)
+
+    def test_large_dihedral_is_fast(self):
+        rt = dihedral(301)
+        start = time.perf_counter()
+        assert validate(rt.n, rt.rows) == rt
+        assert time.perf_counter() - start < 0.5
 
 
 class TestInnerMap:

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -15,6 +16,8 @@ from rackq import (
     parse_table,
     trivial,
 )
+
+import oracles
 
 DIHEDRAL3_TEXT = "3\n1 3 2\n3 2 1\n2 1 3\n"
 
@@ -78,6 +81,51 @@ class TestParseTable:
             with pytest.raises(TableSyntaxError) as exc:
                 parse_table(text)
             assert (exc.value.line, exc.value.col) == where, text
+
+
+def parse_outcome(parse, text):
+    """The document ``parse`` returns, or the type, message and location of
+    what it raises."""
+    try:
+        return parse(text)
+    except (rq.RackError, ValueError) as exc:
+        return type(exc).__name__, str(exc), vars(exc)
+
+
+class TestParseFastPath:
+    """parse_table reads a line of in-range numerals in one pass; the others
+    take the per-token path, kept as ``oracles.parse_table_per_token``."""
+
+    # An explicit sign, zero padding, a non-ASCII digit, a word, both ends
+    # of the range and past them, and a numeral too long for int().
+    TOKENS = ("+5", "007", "\u0661", "x", "1", "12", "0", "13", "1" * 5000)
+
+    def assert_same(self, text):
+        want = parse_outcome(oracles.parse_table_per_token, text)
+        assert parse_outcome(parse_table, text) == want
+
+    def test_one_token_replaced(self):
+        lines = emit_table(dihedral(12), name="d12").split("\n")
+        for token, row, col in product(self.TOKENS, (0, 5, 11), (0, 6, 11)):
+            edited = list(lines)
+            entries = edited[row + 2].split(" ")
+            entries[col] = token
+            edited[row + 2] = " ".join(entries)
+            self.assert_same("\n".join(edited))
+
+    def test_two_tokens_replaced(self):
+        # The first bad token in the row decides the error, whatever follows.
+        lines = emit_table(dihedral(12)).split("\n")
+        for first, second in product(self.TOKENS, repeat=2):
+            edited = list(lines)
+            entries = edited[4].split(" ")
+            entries[2], entries[9] = first, second
+            edited[4] = " ".join(entries)
+            self.assert_same("\n".join(edited))
+
+    def test_valid_files(self, family_tables):
+        for rt in family_tables.values():
+            self.assert_same(emit_table(rt))
 
 
 class TestEmitTable:
