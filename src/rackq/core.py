@@ -48,7 +48,9 @@ class TableAnalysis:
 
     ``orbits`` are the orbits of the carrier under the inner group, sorted
     by minimum; ``row_lengths[x]`` lists the cycle lengths of the
-    translation by x in ascending order.
+    translation by x in ascending order.  Translations in one orbit are
+    conjugate, r_{r_a(x)} = r_a r_x r_a⁻¹, so all members of an orbit share
+    one tuple, counted once on the orbit's minimum.
     """
 
     orbits: tuple[frozenset[int], ...]
@@ -72,23 +74,31 @@ class RackTable:
         """Orbits and cycle lengths, built on first use and kept on the table.
 
         The orbits come from forward closure under all translations; the
-        neighbours of a point y are exactly the entries of column y.
+        neighbours of a point y are the entries of column y, read only for
+        the points reached, and an orbit stops growing once it holds every
+        point not yet placed.  The translations in an orbit are conjugate,
+        so their cycles are counted once, on the orbit's minimum: one O(n)
+        count per orbit, not per row.
         """
-        cols = tuple(map(frozenset, zip(*self.rows)))
-        unseen = set(range(self.n))
+        rows = self.rows
+        row_lengths: list = [None] * self.n
         orbits = []
-        while unseen:
-            start = min(unseen)
+        left = self.n
+        for start in range(self.n):
+            if row_lengths[start] is not None:
+                continue
             comp = {start}
             frontier = [start]
-            while frontier:
-                fresh = cols[frontier.pop()] - comp
+            while frontier and len(comp) < left:
+                fresh = set(map(itemgetter(frontier.pop()), rows)) - comp
                 comp |= fresh
                 frontier.extend(fresh)
+            left -= len(comp)
+            lengths = tuple(sorted(cycle_lengths(rows[start])))
+            for x in comp:
+                row_lengths[x] = lengths
             orbits.append(frozenset(comp))
-            unseen -= comp
-        row_lengths = tuple(tuple(sorted(cycle_lengths(row))) for row in self.rows)
-        return TableAnalysis(tuple(orbits), row_lengths)
+        return TableAnalysis(tuple(orbits), tuple(row_lengths))
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,15 @@
 
 The inner group of a rack is generated by its left translations.  Because
 every translation has finite order, its inverse is a positive power of it,
-so orbit computations close under the generators alone.  Every function
+so orbit computations close under the generators alone.  Translations in
+one orbit are conjugate, r_{r_a(x)} = r_a r_x r_a⁻¹, so they share a cycle
+type; that is what gives an indecomposable rack its profile.  Every function
 here reads the table's :attr:`~rackq.core.RackTable.analysis`, which is
 computed once per table.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 from .core import ClassFlags, RackTable, is_braided, is_crossed_set, is_quandle
@@ -22,25 +23,9 @@ class NotIndecomposable(RackError):
     """Raised by operations that are only defined on indecomposable racks."""
 
 
-class ProfileConstancyError(RackError):
-    """Internal consistency failure: translation patterns differ.
-
-    On an indecomposable rack all translations are conjugate, so a
-    mismatch indicates a bug or a decomposable input slipping past the
-    connectivity check.
-    """
-
-
-@dataclass(frozen=True)
-class OrbitPartition:
+def orbit_partition(r: RackTable) -> tuple[frozenset[int], ...]:
     """Orbits of the carrier under the inner group, sorted by minimum."""
-
-    orbits: tuple[frozenset[int], ...]
-
-
-def orbit_partition(r: RackTable) -> OrbitPartition:
-    """Partition the carrier into inner-group orbits."""
-    return OrbitPartition(r.analysis.orbits)
+    return r.analysis.orbits
 
 
 def is_indecomposable(r: RackTable) -> bool:
@@ -49,33 +34,32 @@ def is_indecomposable(r: RackTable) -> bool:
 
 
 def per_point_patterns(r: RackTable) -> tuple[tuple[int, CycleProfile], ...]:
-    """Cycle pattern of every translation, in carrier order."""
-    return tuple(
-        (x, CycleProfile.from_cycle_lengths(lengths))
-        for x, lengths in enumerate(r.analysis.row_lengths)
-    )
+    """Cycle pattern of every translation, in carrier order.
+
+    The members of an orbit share one profile object.
+    """
+    analysis = r.analysis
+    patterns: list = [None] * r.n
+    for orbit in analysis.orbits:
+        profile = CycleProfile.from_cycle_lengths(analysis.row_lengths[min(orbit)])
+        for x in orbit:
+            patterns[x] = profile
+    return tuple(enumerate(patterns))
 
 
 def rack_profile(r: RackTable) -> CycleProfile:
     """The common cycle pattern of all translations.
 
-    Only defined for indecomposable racks; conjugacy makes the pattern
-    independent of the chosen point, but this is re-verified across the
-    whole carrier rather than trusted, and a mismatch raises
-    :class:`ProfileConstancyError`.
+    Only defined for indecomposable racks.  All translations are then
+    conjugate, r_{r_a(x)} = r_a r_x r_a⁻¹, so the pattern is that of the
+    translation by 0.
     """
     if not is_indecomposable(r):
         raise NotIndecomposable(
             "rack is decomposable, so it has no single profile; "
             "use per_point_patterns for the pattern of every translation"
         )
-    reference, *others = r.analysis.row_lengths
-    for x, lengths in enumerate(others, start=1):
-        if lengths != reference:
-            raise ProfileConstancyError(
-                f"translation patterns differ between points 0 and {x}"
-            )
-    return CycleProfile.from_cycle_lengths(reference)
+    return CycleProfile.from_cycle_lengths(r.analysis.row_lengths[0])
 
 
 def degree(r: RackTable) -> int:
@@ -92,10 +76,11 @@ def hayashi_holds_for(r: RackTable) -> bool:
 
 def classify(r: RackTable) -> ClassFlags:
     """Evaluate every classification predicate on one table."""
+    orbits, lengths = r.analysis.orbits, r.analysis.row_lengths
     return ClassFlags(
         is_quandle=is_quandle(r),
         is_crossed_set=is_crossed_set(r),
         is_braided=is_braided(r),
         is_indecomposable=is_indecomposable(r),
-        degree=math.lcm(*chain.from_iterable(r.analysis.row_lengths)),
+        degree=math.lcm(*chain.from_iterable(lengths[min(o)] for o in orbits)),
     )

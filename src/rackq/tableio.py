@@ -19,7 +19,6 @@ from operator import sub
 from .core import RackTable, validate
 from .enumeration import CensusReport
 from .errors import RackError
-from .inner import OrbitPartition
 from .perm import CycleProfile
 
 
@@ -86,7 +85,13 @@ def parse_table(text: str) -> TableDocument:
     head_line, head = data[0]
     if not (head.isascii() and head.isdigit()):
         raise TableSyntaxError(f"order line must be a positive integer, got {head!r}", head_line)
-    n = int(head)
+    digits = head.lstrip("0") or "0"
+    try:
+        n = int(digits)
+    except ValueError:
+        raise TableSyntaxError(
+            f"order line has {len(digits)} digits, too many to read", head_line
+        ) from None
     if n < 1:
         raise TableSyntaxError(f"order must be positive, got {n}", head_line)
     body = data[1:]
@@ -111,9 +116,12 @@ def parse_table(text: str) -> TableDocument:
         for col, token in enumerate(tokens, start=1):
             if not (token.isascii() and token.isdigit()):
                 raise TableSyntaxError(f"bad integer {token!r}", lineno, col)
-            value = int(token)
-            if not 1 <= value <= n:
-                raise EntryOutOfRange(f"entry {value} outside 1..{n}", lineno, col)
+            # Without its leading zeros, a numeral wider than n's is out of
+            # range; it is reported without int(), which refuses numerals
+            # of thousands of digits.
+            digits = token.lstrip("0") or "0"
+            if len(digits) > width or not 1 <= (value := int(digits)) <= n:
+                raise EntryOutOfRange(f"entry {digits} outside 1..{n}", lineno, col)
             entries.append(value)
         rows.append(tuple(entries))
     return TableDocument(n, tuple(rows), name, source)
@@ -176,8 +184,6 @@ def report_object(value):
             "total_labelled": value.total_labelled,
             "histogram": {k: value.histogram[k] for k in sorted(value.histogram)},
         }
-    if isinstance(value, OrbitPartition):
-        return [sorted(orbit) for orbit in value.orbits]
     if isinstance(value, frozenset):
         return sorted(value)
     if is_dataclass(value):

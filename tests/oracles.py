@@ -390,3 +390,23 @@ def parse_table_per_token(text):
             entries.append(value)
         rows.append(tuple(entries))
     return rq.TableDocument(n, tuple(rows), name, source)
+
+
+def table_analysis_per_row(rt):
+    """``RackTable.analysis`` as first built: every column is read up front,
+    and the cycles of every row are counted."""
+    cols = tuple(map(frozenset, zip(*rt.rows)))
+    unseen = set(range(rt.n))
+    orbits = []
+    while unseen:
+        start = min(unseen)
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            fresh = cols[frontier.pop()] - comp
+            comp |= fresh
+            frontier.extend(fresh)
+        orbits.append(frozenset(comp))
+        unseen -= comp
+    row_lengths = tuple(tuple(sorted(rq.perm.cycle_lengths(row))) for row in rt.rows)
+    return rq.core.TableAnalysis(tuple(orbits), row_lengths)

@@ -131,6 +131,13 @@ class TestCheck:
         assert (code, out) == (1, "")
         assert err == "line 3, column 2: bad integer '\u00b2'\n"
 
+    def test_long_numerals_are_located(self, capsys, monkeypatch):
+        for text, where in (("7" * 5000 + "\n", "line 1: "),
+                            ("2\n1 2\n2 " + "4" * 5000 + "\n", "line 3, column 2: ")):
+            code, out, err = run_with_stdin(capsys, monkeypatch, text, "check", "-")
+            assert (code, out) == (1, "")
+            assert err.startswith(where)
+
 
 class TestClosure:
     def test_dihedral5_pair(self, capsys, monkeypatch):

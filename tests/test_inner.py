@@ -10,8 +10,6 @@ import rackq as rq
 from rackq import (
     AffineSpec,
     NotIndecomposable,
-    ProfileConstancyError,
-    RackTable,
     affine,
     classify,
     cyclic_rack,
@@ -30,20 +28,20 @@ import oracles
 
 class TestOrbitPartition:
     def test_trivial_three_singletons(self):
-        parts = orbit_partition(trivial(3)).orbits
+        parts = orbit_partition(trivial(3))
         assert parts == (frozenset({0}), frozenset({1}), frozenset({2}))
 
     def test_dihedral5_single_orbit(self):
-        assert orbit_partition(dihedral(5)).orbits == (frozenset(range(5)),)
+        assert orbit_partition(dihedral(5)) == (frozenset(range(5)),)
 
     def test_dihedral4_parity_classes(self):
-        assert orbit_partition(dihedral(4)).orbits == (frozenset({0, 2}), frozenset({1, 3}))
+        assert orbit_partition(dihedral(4)) == (frozenset({0, 2}), frozenset({1, 3}))
 
     def test_matches_generator_and_inverse_closure(self, rack_reps):
         # Orbits computed with generators alone must agree with closure
         # under generators and inverses.
         for rt in rack_reps[4]:
-            for orbit in orbit_partition(rt).orbits:
+            for orbit in orbit_partition(rt):
                 assert orbit == oracles.orbit_of(rt.rows, min(orbit))
 
 
@@ -74,12 +72,11 @@ class TestRackProfile:
             rack_profile(trivial(2))
 
     def test_constancy_across_small_census(self, rack_reps):
+        # Counted row by row, independently of the shared per-orbit count.
         for n in range(1, 6):
             for rt in rack_reps[n]:
                 if is_indecomposable(rt):
-                    patterns = {prof for _, prof in per_point_patterns(rt)}
-                    assert len(patterns) == 1
-                    assert rack_profile(rt) in patterns
+                    assert {rq.pattern(row) for row in rt.rows} == {rack_profile(rt)}
 
 
 class TestPerPointPatterns:
@@ -177,7 +174,7 @@ def _count_cycle_lengths(monkeypatch) -> list:
 
 
 class TestTableAnalysis:
-    def test_cycle_lengths_run_once_per_row(self, monkeypatch):
+    def test_cycle_lengths_run_once_per_orbit(self, monkeypatch):
         calls = _count_cycle_lengths(monkeypatch)
         rt = dihedral(31)
         classify(rt)
@@ -185,7 +182,12 @@ class TestTableAnalysis:
         rack_profile(rt)
         degree(rt)
         hayashi_holds_for(rt)
-        assert len(calls) == 31
+        assert len(calls) == 1
+        for rt, orbits in ((dihedral(4), 2), (trivial(5), 5)):
+            calls.clear()
+            classify(rt)
+            per_point_patterns(rt)
+            assert len(calls) == orbits
 
     def test_table_is_not_kept_alive(self):
         rt = dihedral(7)
@@ -215,8 +217,25 @@ class TestTableAnalysis:
                 assert all(rack_profile(rt) == rq.pattern(row) for row in rows)
                 assert degree(rt) == rq.order(rows[0])
 
-    def test_profile_constancy_is_rechecked(self):
-        # Not a rack: connected through column 0, but the two translations
-        # have different cycle types.
-        with pytest.raises(ProfileConstancyError):
-            rack_profile(RackTable(2, ((1, 0), (0, 1))))
+    def test_matches_per_row_oracle(self, family_tables, rack_reps, rack_reps6):
+        tables = list(family_tables.values()) + rack_reps6
+        for n in range(1, 6):
+            tables.extend(rack_reps[n])
+        for rt in tables:
+            assert rt.analysis == oracles.table_analysis_per_row(rt)
+
+    def test_matches_per_row_oracle_on_many_orbits(self):
+        # Disjoint unions of small racks, and a trivial rack: one orbit per
+        # block, built through validate.
+        unions = [(dihedral(3), 67), (dihedral(5), 40), (cyclic_rack(2), 100), (trivial(1), 300)]
+        for block, copies in unions:
+            k = block.n
+            n = k * copies
+            rows = [
+                tuple(c * k + block.rows[x % k][y % k] if y // k == c else y for y in range(n))
+                for c in range(copies)
+                for x in range(c * k, c * k + k)
+            ]
+            rt = rq.validate(n, rows)
+            assert len(rt.analysis.orbits) == copies
+            assert rt.analysis == oracles.table_analysis_per_row(rt)
