@@ -60,11 +60,12 @@ class AffineSpec:
     """An abelian group Z_{n_1} x ... x Z_{n_m} with an automorphism.
 
     ``alpha`` is an m-by-m integer matrix acting on column vectors, the
-    i-th output component taken mod ``moduli[i]``.  Elements are
-    enumerated in mixed-radix little-endian order: the first coordinate
-    varies fastest, so index k encodes the tuple
-    ``((k // stride_i) % n_i)`` with ``stride_i`` the product of the
-    earlier moduli.
+    i-th output component taken mod ``moduli[i]``.  Entry (i, j) must be
+    a homomorphism Z_{n_j} -> Z_{n_i}, so n_i must divide n_j * entry, or
+    ``ValueError`` is raised.  Elements are enumerated in mixed-radix
+    little-endian order: the first coordinate varies fastest, so index k
+    encodes the tuple ``((k // stride_i) % n_i)`` with ``stride_i`` the
+    product of the earlier moduli.
     """
 
     moduli: tuple[int, ...]
@@ -78,93 +79,90 @@ class AffineSpec:
         m = len(self.moduli)
         if len(self.alpha) != m or any(len(row) != m for row in self.alpha):
             raise ValueError(f"alpha must be a {m}x{m} matrix")
+        for i, (n_i, row) in enumerate(zip(self.moduli, self.alpha)):
+            for j, (n_j, a) in enumerate(zip(self.moduli, row)):
+                if n_j * a % n_i:
+                    raise ValueError(
+                        f"alpha[{i}][{j}]={a} is not a homomorphism from Z_{n_j} to Z_{n_i}:"
+                        f" {n_i} does not divide {n_j}*{a}"
+                    )
 
     @property
     def size(self) -> int:
-        size = 1
-        for m in self.moduli:
-            size *= m
-        return size
-
-    def elements(self) -> list[tuple[int, ...]]:
-        """All group elements in mixed-radix little-endian order."""
-        out = []
-        for k in range(self.size):
-            tup = []
-            rem = k
-            for m in self.moduli:
-                tup.append(rem % m)
-                rem //= m
-            out.append(tuple(tup))
-        return out
-
-    def index_of(self, element: tuple[int, ...]) -> int:
-        idx = 0
-        stride = 1
-        for coord, m in zip(element, self.moduli):
-            idx += (coord % m) * stride
-            stride *= m
-        return idx
-
-    def apply_alpha(self, element: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
-            sum(self.alpha[i][j] * element[j] for j in range(len(self.moduli))) % self.moduli[i]
-            for i in range(len(self.moduli))
-        )
+        return math.prod(self.moduli)
 
 
-def _by_additivity(moduli: tuple[int, ...], zero, steps) -> list:
-    """Values of a map at every index, from its value at 0 and one step per
-    coordinate: the value at k + e_i is ``steps[i]`` of the value at k."""
-    values = [zero]
-    for mod, step in zip(moduli, steps):
-        stride = len(values)
-        for _ in range(mod - 1):
-            values.extend(map(step, values[-stride:]))
-    return values
+def _images(moduli: tuple[int, ...], matrix) -> list[list[int]]:
+    """For each output coordinate i, (sum_j matrix[i][j] * k_j) mod n_i at
+    every index k, built one input coordinate at a time."""
+    images = []
+    for n_i, row in zip(moduli, matrix):
+        values = [0]
+        for a, n_j in zip(row, moduli):
+            values = [(v + a * t) % n_i for t in range(n_j) for v in values]
+        images.append(values)
+    return images
+
+
+def _indices(images: list[list[int]], strides) -> list[int]:
+    """The index of every element whose coordinates are ``images``."""
+    return list(map(sum, zip(*([v * s for v in values] for values, s in zip(images, strides)))))
 
 
 def affine(spec: AffineSpec) -> RackTable:
     """The affine (Alexander) quandle for ``spec``.
 
     x acting on y gives (1 - alpha)(x) + alpha(y).  Raises
-    :class:`NonInvertibleAlpha` if the matrix is not a bijection on the
-    group, which is checked by enumeration at construction.
-
-    A field presentation Aff(F_{p^k}, alpha) with k > 1 is covered by this
-    same code path: write the field as (Z_p)^k and pass the matrix of
+    :class:`NonInvertibleAlpha` if alpha is not a bijection on the group.
+    A field Aff(F_{p^k}, alpha) is the group (Z_p)^k with the matrix of
     multiplication by alpha in a basis.
 
-    Everything works on element indices.  ``add[k]`` is the translation
-    y -> k + y as an index array, composed from the unit translations;
-    alpha and 1 - alpha are extended from the unit vectors by additivity,
-    and row x is ``add[(1 - alpha)(x)]`` read at alpha's index array.
+    With R_d = alpha o T_d, T_d the translation by d, row x is R_d for
+    d = alpha^-1((1 - alpha)(x)), since alpha is additive.  Translation
+    along the last, slowest coordinate rotates the whole index range, so
+    R_d is a slice of R_e + R_e, e being d with last coordinate 0.  Only
+    the n / n_last rows R_e are gathered, with m itemgetter gathers each
+    (none on Z_n, where R_0 is alpha).  Cost: O(n*m) Python work for the
+    index arrays, O(n^2*m / n_last) C-level work for the R_e, and one
+    slice per row.
     """
-    n = spec.size
-    moduli = spec.moduli
-    units = []
-    for mod, stride in zip(moduli, accumulate(moduli, mul, initial=1)):
-        span = mod * stride  # k + e_i adds stride to k, wrapping within its span
-        units.append(itemgetter(*(k - k % span + (k + stride) % span for k in range(n))))
-    add = _by_additivity(moduli, tuple(range(n)), units)
-
-    def extend(matrix) -> list[int]:
-        """Index array of the additive map sending e_j to column j of ``matrix``."""
-        steps = [add[spec.index_of(column)].__getitem__ for column in zip(*matrix)]
-        return _by_additivity(moduli, 0, steps)
-
-    alpha = extend(spec.alpha)
+    n, moduli = spec.size, spec.moduli
+    strides = list(accumulate(moduli, mul, initial=1))
+    images = _images(moduli, spec.alpha)
+    alpha = _indices(images, strides)
     if len(set(alpha)) != n:
         if len(moduli) == 1:
             raise NonInvertibleAlpha(f"alpha={spec.alpha[0][0] % n} is not invertible mod {n}")
         raise NonInvertibleAlpha(f"alpha={spec.alpha!r} is not a bijection on the group")
-    shift = extend([[(i == j) - a for j, a in enumerate(row)] for i, row in enumerate(spec.alpha)])
-    # The trailing 0 keeps itemgetter returning a tuple when n == 1.
-    read_alpha = itemgetter(*alpha, 0)
-    return RackTable(n, tuple(read_alpha(add[c])[:n] for c in shift))
+    shift_matrix = [[(i == j) - a for j, a in enumerate(row)] for i, row in enumerate(spec.alpha)]
+    shift = _indices(_images(moduli, shift_matrix), strides)
+    span = n // moduli[-1]  # the indices whose last coordinate is 0
+    bases = [tuple(alpha)]
+    gathers = [itemgetter(*values) for values in images]
+    for e in range(1, span):
+        # R_e(z) = alpha(e) + alpha(z), added coordinate by coordinate.
+        parts = (
+            gather(tuple((v + values[e]) % m * s for v in range(m)))
+            for gather, values, m, s in zip(gathers, images, moduli, strides)
+        )
+        bases.append(tuple(map(sum, zip(*parts))))
+    doubled = [base + base for base in bases]
+    starts = ((d % span, d - d % span) for d in map(inverse(alpha).__getitem__, shift))
+    return RackTable(n, tuple(doubled[e][s : s + n] for e, s in starts))
 
 
 CLASS_SIZE_GUARD = 10_000
+
+
+def _conjugate(g: Perm, i: int) -> Perm:
+    """t g t for the adjacent transposition t = (i i+1)."""
+    if {g[i], g[i + 1]} == {i, i + 1}:
+        return g  # t commutes with g
+    h = list(g)
+    h[i], h[i + 1] = g[i + 1], g[i]
+    a, b = h.index(i), h.index(i + 1)
+    h[a], h[b] = i + 1, i
+    return tuple(h)
 
 
 def conjugation_class_quandle(degree: int, rep: Perm) -> RackTable:
@@ -175,6 +173,14 @@ def conjugation_class_quandle(degree: int, rep: Perm) -> RackTable:
     x acting on y is the conjugate x y x^-1.  Raises
     :class:`ClassTooLarge` past the CLASS_SIZE_GUARD, sizing the class
     from the cycle type of ``rep`` before building any of it.
+
+    A BFS under conjugation by the adjacent transpositions t_i = (i i+1),
+    which generate the group, records each member's parent and t_i.  With
+    c_i the class-index array of conjugation by t_i, row(t_i m t_i) is
+    c_i o row(m) o c_i (Joyce, JPAA 23, 1982): only the representative's
+    row is composed, and each other row is two itemgetter gathers of its
+    parent's.  Cost for N members: O(N*d^2) Python work for the BFS and
+    the c_i, and O(N^2) C-level work for the rows.
     """
     if degree < 1:
         raise ValueError(f"degree must be positive, got {degree}")
@@ -187,29 +193,22 @@ def conjugation_class_quandle(degree: int, rep: Perm) -> RackTable:
     z = math.prod(k**m * math.factorial(m) for k, m in lengths.items())
     if math.perm(degree, degree - fixed) // z > CLASS_SIZE_GUARD:
         raise ClassTooLarge(f"conjugacy class exceeds {CLASS_SIZE_GUARD} elements")
-    # The class is the orbit of rep under conjugation; the adjacent
-    # transpositions t = (i i+1) generate the group, so closing under them
-    # reaches the whole class.  t commutes with g when g maps {i, i+1} to
-    # itself, and then t g t = g.
-    members = {rep}
-    frontier = [rep]
-    while frontier:
-        g = frontier.pop()
+    tree = {rep: None}
+    order = [rep]
+    for g in order:
         for i in range(degree - 1):
-            if {g[i], g[i + 1]} == {i, i + 1}:
-                continue
-            h = list(g)
-            h[i], h[i + 1] = g[i + 1], g[i]
-            a, b = h.index(i), h.index(i + 1)
-            h[a], h[b] = i + 1, i
-            h = tuple(h)
-            if h not in members:
-                members.add(h)
-                frontier.append(h)
-    carrier = sorted(members)
-    index = {g: i for i, g in enumerate(carrier)}
-    rows = []
-    for g in carrier:
-        ginv = inverse(g)
-        rows.append(tuple(index[compose(g, compose(h, ginv))] for h in carrier))
-    return RackTable(len(carrier), tuple(rows))
+            h = _conjugate(g, i)
+            if h is not g and h not in tree:
+                tree[h] = (g, i)
+                order.append(h)
+    carrier = sorted(tree)
+    index = {g: k for k, g in enumerate(carrier)}
+    labels = {edge[1] for edge in tree.values() if edge}
+    conj = {i: tuple(index[_conjugate(g, i)] for g in carrier) for i in labels}
+    gathers = {i: itemgetter(*c) for i, c in conj.items()}
+    rep_inv = inverse(rep)
+    rows = {rep: tuple(index[compose(rep, compose(h, rep_inv))] for h in carrier)}
+    for h in order[1:]:
+        g, i = tree[h]
+        rows[h] = itemgetter(*gathers[i](rows[g]))(conj[i])
+    return RackTable(len(carrier), tuple(rows[g] for g in carrier))

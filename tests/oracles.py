@@ -246,9 +246,40 @@ def automorphism_count(rows):
     return sum(relabel_table(rows, s) == rows for s in permutations(range(len(rows))))
 
 
+def affine_elements(spec):
+    """All group elements of ``spec`` in mixed-radix little-endian order."""
+    out = []
+    for k in range(spec.size):
+        tup = []
+        rem = k
+        for m in spec.moduli:
+            tup.append(rem % m)
+            rem //= m
+        out.append(tuple(tup))
+    return out
+
+
+def affine_index_of(spec, element):
+    """The index of a coordinate tuple, each coordinate reduced mod its modulus."""
+    idx = 0
+    stride = 1
+    for coord, m in zip(element, spec.moduli):
+        idx += (coord % m) * stride
+        stride *= m
+    return idx
+
+
+def affine_apply(spec, element):
+    """alpha applied to a coordinate tuple, one matrix row per coordinate."""
+    return tuple(
+        sum(spec.alpha[i][j] * element[j] for j in range(len(spec.moduli))) % spec.moduli[i]
+        for i in range(len(spec.moduli))
+    )
+
+
 def affine_two_branch(spec):
     """The affine quandle as first built: a rotation lookup for a single
-    modulus, and per-element ``apply_alpha``/``index_of`` otherwise."""
+    modulus, and per-element ``affine_apply``/``affine_index_of`` otherwise."""
     n = spec.size
     moduli = spec.moduli
     if len(moduli) == 1:
@@ -263,8 +294,8 @@ def affine_two_branch(spec):
             shift = tuple(range(c, mod)) + tuple(range(c))
             rows.append(tuple(map(shift.__getitem__, alpha_img)))
         return rq.RackTable(mod, tuple(rows))
-    elements = spec.elements()
-    images = [spec.apply_alpha(e) for e in elements]
+    elements = affine_elements(spec)
+    images = [affine_apply(spec, e) for e in elements]
     if len(set(images)) != n:
         raise rq.NonInvertibleAlpha(f"alpha={spec.alpha!r} is not a bijection on the group")
     m = len(moduli)
@@ -275,7 +306,7 @@ def affine_two_branch(spec):
         row = []
         for y in range(n):
             ay = images[y]
-            row.append(spec.index_of(tuple(shift[i] + ay[i] for i in range(m))))
+            row.append(affine_index_of(spec, tuple(shift[i] + ay[i] for i in range(m))))
         rows.append(tuple(row))
     return rq.RackTable(n, tuple(rows))
 

@@ -47,6 +47,11 @@ class TestMake:
         assert code == 1
         assert "invertible" in err
 
+    def test_affine_matrix_must_be_a_homomorphism(self, capsys):
+        code, out, err = run(capsys, "make", "affine", "--moduli", "5,2", "--alpha", "3,0;3,7")
+        assert (code, out) == (1, "")
+        assert err == "alpha[1][0]=3 is not a homomorphism from Z_5 to Z_2: 2 does not divide 5*3\n"
+
     def test_conj_rep_takes_only_ascii_digits(self, capsys):
         for rep in ("(\u0661 2)", "(\u00b2 2)"):
             code, out, err = run(capsys, "make", "conj", "--degree", "4", "--rep", rep)

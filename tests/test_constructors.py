@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from itertools import permutations
 
 import pytest
 
@@ -74,17 +75,30 @@ class TestDihedral:
             assert emit_table(dihedral(n)) == emit_table(oracles.dihedral_formula(n)), n
 
 
+def factors_through(moduli, alpha):
+    """Whether every entry a at (i, j) gives a map Z_{n_j} -> Z_{n_i}: the
+    integer map t -> a*t mod n_i takes one value on each residue class
+    mod n_j."""
+    return all(
+        a * t % moduli[i] == a * (t + moduli[j]) % moduli[i]
+        for i, row in enumerate(alpha)
+        for j, a in enumerate(row)
+        for t in range(moduli[j])
+    )
+
+
 def assert_same_affine(spec):
     """affine() and the two-branch reference give the same table bytes, or
-    the same error type and message."""
+    the same error type and message.  Returns whether a table was built."""
     try:
         want = emit_table(oracles.affine_two_branch(spec))
     except NonInvertibleAlpha as exc:
         with pytest.raises(NonInvertibleAlpha) as got:
             affine(spec)
         assert str(got.value) == str(exc), spec
-    else:
-        assert emit_table(affine(spec)) == want, spec
+        return False
+    assert emit_table(affine(spec)) == want, spec
+    return True
 
 
 class TestAffine:
@@ -112,18 +126,18 @@ class TestAffine:
 
     def test_multi_modulus_matches_single_path(self):
         # On one modulus, affine() must agree with the per-element formula
-        # over the spec's own elements, index_of and apply_alpha.
+        # over the spec's elements, index_of and alpha, taken from oracles.
         fast = affine(AffineSpec((6,), ((5,),)))
         spec = AffineSpec((6,), ((5,),))
-        elements = spec.elements()
-        assert [spec.index_of(e) for e in elements] == list(range(6))
+        elements = oracles.affine_elements(spec)
+        assert [oracles.affine_index_of(spec, e) for e in elements] == list(range(6))
         generic_rows = []
         for x, ex in enumerate(elements):
-            ax = spec.apply_alpha(ex)
+            ax = oracles.affine_apply(spec, ex)
             row = []
             for ey in elements:
-                ay = spec.apply_alpha(ey)
-                row.append(spec.index_of(tuple((ex[i] - ax[i] + ay[i]) for i in range(1))))
+                ay = oracles.affine_apply(spec, ey)
+                row.append(oracles.affine_index_of(spec, tuple((ex[i] - ax[i] + ay[i]) for i in range(1))))
             generic_rows.append(tuple(row))
         assert fast.rows == tuple(generic_rows)
 
@@ -137,7 +151,10 @@ class TestAffine:
 
     def test_mixed_radix_element_order(self):
         spec = AffineSpec((3, 3), ((0, 1), (1, 0)))
-        assert spec.elements()[:4] == [(0, 0), (1, 0), (2, 0), (0, 1)]
+        assert oracles.affine_elements(spec)[:4] == [(0, 0), (1, 0), (2, 0), (0, 1)]
+        # Row 0 is alpha itself, which swaps the coordinates: index
+        # k = k_0 + 3 k_1 goes to k_1 + 3 k_0.
+        assert affine(spec).rows[0] == (0, 3, 6, 1, 4, 7, 2, 5, 8)
 
     def test_connectivity_criterion_cross_check(self):
         # Orbit-based connectivity agrees with "1 - alpha is a bijection"
@@ -162,15 +179,38 @@ class TestAffine:
 
     def test_seeded_matrices_match_two_branch_reference(self):
         # The sweep's vector spaces, mixed moduli, and moduli that contain 1.
+        # A matrix that is not a homomorphism is rejected by AffineSpec.
         rng = random.Random(20191)
         vector_spaces = ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2))
         shapes = [(p,) * k for p, k in vector_spaces]
         shapes += [(m, 2) for m in range(3, 8)] + [(2, 3, 1), (1, 1), (1, 4), (6, 1, 2)]
+        rejected = 0
         for moduli in shapes:
             k = len(moduli)
             for _ in range(20):
                 alpha = tuple(tuple(rng.randrange(-2, 8) for _ in range(k)) for _ in range(k))
-                assert_same_affine(AffineSpec(moduli, alpha))
+                if factors_through(moduli, alpha):
+                    assert_same_affine(AffineSpec(moduli, alpha))
+                else:
+                    rejected += 1
+                    with pytest.raises(ValueError, match=r"is not a homomorphism from Z_"):
+                        AffineSpec(moduli, alpha)
+        assert rejected == 132
+
+    def test_gathered_rows_match_two_branch_reference(self):
+        # Groups where n / n_last is large, so many rows with last
+        # coordinate 0 are gathered rather than sliced, and n = 1.
+        rng = random.Random(8)
+        shapes = ((2,) * 6, (3, 3, 3), (5, 5), (4, 6), (6, 1, 2), (1,), (1, 1))
+        for moduli in shapes:
+            k = len(moduli)
+            built = tried = 0
+            while tried < 25:
+                alpha = tuple(tuple(rng.randrange(-2, 8) for _ in range(k)) for _ in range(k))
+                if factors_through(moduli, alpha):
+                    tried += 1
+                    built += assert_same_affine(AffineSpec(moduli, alpha))
+            assert built >= 3, moduli
 
     def test_bad_spec_shapes(self):
         with pytest.raises(ValueError):
@@ -179,6 +219,17 @@ class TestAffine:
             AffineSpec((3,), ((1, 0),))
         with pytest.raises(ValueError):
             AffineSpec((0,), ((1,),))
+        # Entry (i, j) maps Z_{n_j} to Z_{n_i}, so n_i must divide n_j * entry.
+        with pytest.raises(
+            ValueError,
+            match=r"^alpha\[1\]\[0\]=3 is not a homomorphism from Z_5 to Z_2: 2 does not divide 5\*3$",
+        ):
+            AffineSpec((5, 2), ((3, 0), (3, 7)))
+        with pytest.raises(ValueError, match=r"^alpha\[1\]\[0\]=1 is not a homomorphism from Z_1 to Z_4"):
+            AffineSpec((1, 4), ((1, 0), (1, 1)))
+        # Z_4 -> Z_2 and Z_2 -> Z_4 entries that are homomorphisms.
+        assert assert_same_affine(AffineSpec((4, 2), ((1, 0), (1, 1))))
+        assert assert_same_affine(AffineSpec((2, 4), ((1, 2), (2, 1))))
 
 
 def cycle_type_reps(degree):
@@ -246,6 +297,21 @@ class TestConjugationClass:
     @pytest.mark.slow
     def test_every_cycle_type_of_s7_matches_reference(self):
         assert_same_classes(7)
+
+    def test_large_class_rows_are_conjugations(self):
+        # The (4,2) class of S_8: 8!/(4*2) = 2,520 members, so 6.35 million
+        # entries, each row gathered from its BFS parent's.
+        rep = (1, 2, 3, 0, 5, 4, 6, 7)
+        start = time.perf_counter()
+        rt = conjugation_class_quandle(8, rep)
+        assert time.perf_counter() - start < 2.0
+        assert rt.n == 2520
+        carrier = sorted({rq.compose(p, rq.compose(rep, rq.inverse(p))) for p in permutations(range(8))})
+        index = {g: i for i, g in enumerate(carrier)}
+        for x in random.Random(2520).sample(range(2520), 6):
+            g = carrier[x]
+            ginv = rq.inverse(g)
+            assert rt.rows[x] == tuple(index[rq.compose(g, rq.compose(h, ginv))] for h in carrier), x
 
     def test_class_is_sized_before_it_is_built(self):
         # Transpositions of S_1000: 499,500 members.  Listing the 499,500
