@@ -58,7 +58,8 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-_INTEGER = re.compile(r"-?[0-9]+")
+# At most as many digits as int() reads: sys.get_int_max_str_digits(), 0 for no limit.
+_INTEGER = re.compile(rf"-?[0-9]{{1,{sys.get_int_max_str_digits() or ''}}}")
 
 
 def _ascii_int(text: str) -> int:
@@ -152,7 +153,9 @@ def _parse_cycle_notation(degree: int, text: str) -> tuple[int, ...]:
         if digits:
             if current is None:
                 raise ValueError(f"point {digits} outside parentheses in cycle notation {text!r}")
-            current.append(int(digits))
+            # Wider than the degree, it is out of range; int() refuses thousands of digits.
+            digits = digits.lstrip("0") or "0"
+            current.append(int(digits) if len(digits) <= len(str(degree)) else degree + 1)
         elif ch == "(":
             if current is not None:
                 raise ValueError(f"nested parenthesis in cycle notation {text!r}")

@@ -17,7 +17,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import RackError
-from .perm import Perm, cycle_lengths, is_permutation, power
+from .perm import CycleProfile, Perm, is_permutation, pattern, power
 
 
 class TableValidationError(RackError):
@@ -47,14 +47,14 @@ class TableAnalysis:
     """Per-table facts read by the inner-group functions.
 
     ``orbits`` are the orbits of the carrier under the inner group, sorted
-    by minimum; ``row_lengths[x]`` lists the cycle lengths of the
-    translation by x in ascending order.  Translations in one orbit are
-    conjugate, r_{r_a(x)} = r_a r_x r_a⁻¹, so all members of an orbit share
-    one tuple, counted once on the orbit's minimum.
+    by minimum; ``patterns[x]`` is the cycle profile of the translation by
+    x.  Translations in one orbit are conjugate, r_{r_a(x)} = r_a r_x r_a⁻¹,
+    so all members of an orbit share one profile object, counted once on
+    the orbit's minimum.
     """
 
     orbits: tuple[frozenset[int], ...]
-    row_lengths: tuple[tuple[int, ...], ...]
+    patterns: tuple[CycleProfile, ...]
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class RackTable:
 
     @cached_property
     def analysis(self) -> TableAnalysis:
-        """Orbits and cycle lengths, built on first use and kept on the table.
+        """Orbits and cycle profiles, built on first use and kept on the table.
 
         The orbits come from forward closure under all translations; the
         neighbours of a point y are the entries of column y, read only for
@@ -81,11 +81,11 @@ class RackTable:
         count per orbit, not per row.
         """
         rows = self.rows
-        row_lengths: list = [None] * self.n
+        patterns: list = [None] * self.n
         orbits = []
         left = self.n
         for start in range(self.n):
-            if row_lengths[start] is not None:
+            if patterns[start] is not None:
                 continue
             comp = {start}
             frontier = [start]
@@ -94,11 +94,11 @@ class RackTable:
                 comp |= fresh
                 frontier.extend(fresh)
             left -= len(comp)
-            lengths = tuple(sorted(cycle_lengths(rows[start])))
+            profile = pattern(rows[start])
             for x in comp:
-                row_lengths[x] = lengths
+                patterns[x] = profile
             orbits.append(frozenset(comp))
-        return TableAnalysis(tuple(orbits), tuple(row_lengths))
+        return TableAnalysis(tuple(orbits), tuple(patterns))
 
 
 @dataclass(frozen=True)

@@ -38,13 +38,7 @@ def per_point_patterns(r: RackTable) -> tuple[tuple[int, CycleProfile], ...]:
 
     The members of an orbit share one profile object.
     """
-    analysis = r.analysis
-    patterns: list = [None] * r.n
-    for orbit in analysis.orbits:
-        profile = CycleProfile.from_cycle_lengths(analysis.row_lengths[min(orbit)])
-        for x in orbit:
-            patterns[x] = profile
-    return tuple(enumerate(patterns))
+    return tuple(enumerate(r.analysis.patterns))
 
 
 def rack_profile(r: RackTable) -> CycleProfile:
@@ -59,14 +53,14 @@ def rack_profile(r: RackTable) -> CycleProfile:
             "rack is decomposable, so it has no single profile; "
             "use per_point_patterns for the pattern of every translation"
         )
-    return CycleProfile.from_cycle_lengths(r.analysis.row_lengths[0])
+    return r.analysis.patterns[0]
 
 
 def degree(r: RackTable) -> int:
     """Order of any translation of an indecomposable rack."""
     if not is_indecomposable(r):
         raise NotIndecomposable("degree is only defined for indecomposable racks")
-    return math.lcm(*r.analysis.row_lengths[0])
+    return math.lcm(*r.analysis.patterns[0].moving_lengths())
 
 
 def hayashi_holds_for(r: RackTable) -> bool:
@@ -76,11 +70,11 @@ def hayashi_holds_for(r: RackTable) -> bool:
 
 def classify(r: RackTable) -> ClassFlags:
     """Evaluate every classification predicate on one table."""
-    orbits, lengths = r.analysis.orbits, r.analysis.row_lengths
+    profiles = set(r.analysis.patterns)
     return ClassFlags(
         is_quandle=is_quandle(r),
         is_crossed_set=is_crossed_set(r),
         is_braided=is_braided(r),
         is_indecomposable=is_indecomposable(r),
-        degree=math.lcm(*chain.from_iterable(lengths[min(o)] for o in orbits)),
+        degree=math.lcm(*chain.from_iterable(p.moving_lengths() for p in profiles)),
     )

@@ -57,18 +57,23 @@ def parse_profile(text: str) -> CycleProfile:
     """Parse "1^2.2^2.3^4.6^4" or "1^1 2 3" style profile strings.
 
     Terms are separated by dots or whitespace; each term is ``L`` or
-    ``L^M``.  At most one term may have L=1, and it populates m0.
+    ``L^M``.  At most one term may have L=1, and it populates m0.  A
+    numeral too long for ``int()`` is reported with its term's position.
     """
     terms = [t for t in re.split(r"[.\s]+", text.strip()) if t]
     if not terms:
         raise ProfileSyntaxError("empty profile")
     by_length: dict[int, int] = {}
-    for term in terms:
+    for k, term in enumerate(terms, start=1):
         m = _TERM.match(term)
         if not m:
             raise ProfileSyntaxError(f"bad profile term {term!r}")
-        length = int(m.group(1))
-        mult = int(m.group(2)) if m.group(2) else 1
+        try:
+            length, mult = map(int, m.groups("1"))
+        except ValueError:
+            raise ProfileSyntaxError(
+                f"term {k} has a numeral of {max(map(len, m.groups('')))} digits, too many to read"
+            ) from None
         if length < 1 or mult < 1:
             raise NonPositive(f"lengths and multiplicities must be >= 1: {term!r}")
         if length in by_length:
@@ -308,26 +313,22 @@ def hayashi_check(pf: CycleProfile) -> bool:
 
 
 def full_verdict(pf: CycleProfile, scope: str = SCOPE_RACKS) -> ObstructionVerdict:
-    """Dispatch the exclusion rules in order and return the first hit.
+    """Apply the scope's exclusion rules in order and return the first hit.
 
     Rule order: contiguous split, then bipartition, then (for crossed-set
     scope only) the three-length rule.  The returned verdict records every
-    rule consulted along the way.
+    rule consulted along the way.  The three-length rule never defers to
+    a contiguous-split exclusion here, as that rule already passed.
     """
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
-    consulted: list[str] = []
-    v = prop35_verdict(pf)
-    consulted.extend(v.rules_consulted)
-    if v.excluded:
-        return replace(v, rules_consulted=tuple(consulted))
-    v = cor34_verdict(pf)
-    consulted.append("Cor34")
-    if v.excluded:
-        return replace(v, rules_consulted=tuple(consulted))
+    rules = [prop35_verdict, cor34_verdict]
     if scope == SCOPE_CROSSED_SETS:
-        v = prop315_verdict(pf)
-        consulted.append("Prop315")
-        if v.kind == EXCLUDED_PROP315:
+        rules.append(prop315_verdict)
+    consulted: list[str] = []
+    for rule in rules:
+        v = rule(pf)
+        consulted.append(v.rules_consulted[0])
+        if v.excluded:
             return replace(v, rules_consulted=tuple(consulted))
     return ObstructionVerdict(NOT_EXCLUDED, scope, None, tuple(consulted))

@@ -425,7 +425,7 @@ def parse_table_per_token(text):
 
 def table_analysis_per_row(rt):
     """``RackTable.analysis`` as first built: every column is read up front,
-    and the cycles of every row are counted."""
+    and the profile of every row is counted on its own."""
     cols = tuple(map(frozenset, zip(*rt.rows)))
     unseen = set(range(rt.n))
     orbits = []
@@ -439,5 +439,5 @@ def table_analysis_per_row(rt):
             frontier.extend(fresh)
         orbits.append(frozenset(comp))
         unseen -= comp
-    row_lengths = tuple(tuple(sorted(rq.perm.cycle_lengths(row))) for row in rt.rows)
-    return rq.core.TableAnalysis(tuple(orbits), row_lengths)
+    patterns = tuple(rq.perm.pattern(row) for row in rt.rows)
+    return rq.core.TableAnalysis(tuple(orbits), patterns)

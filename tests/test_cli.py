@@ -1,10 +1,13 @@
 import io
 import json
 import time
+from functools import partial
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import rackq as rq
+from rackq import cli
 from rackq.cli import main
 
 
@@ -62,6 +65,12 @@ class TestMake:
         code, _, err = run(capsys, "make", "affine", "--moduli", "\u0665", "--alpha", "2")
         assert code == 1
         assert "bad point list" in err
+        # Numerals too long for int() are refused by the same message.
+        long = "9" * 5000
+        for moduli, alpha in ((long, "1"), ("5", long), ("5", "2," + long)):
+            code, out, err = run(capsys, "make", "affine", "--moduli", moduli, "--alpha", alpha)
+            assert (code, out) == (1, "")
+            assert err.startswith("bad point list '")
 
     def test_conj_rep_cycle_notation(self, capsys):
         code, out, _ = run(capsys, "make", "conj", "--degree", "5", "--rep", "(1 2)(3 4)")
@@ -77,6 +86,9 @@ class TestMake:
             "(1 2))": "unmatched ')' in cycle notation '(1 2))'",
             "(1 2)(2 3)": "point 2 appears more than once in cycle notation '(1 2)(2 3)'",
             "(1 3 1)": "point 1 appears more than once in cycle notation '(1 3 1)'",
+            f"({'9' * 5000})": f"cycle point outside 1..3 in '({'9' * 5000})'",
+            f"({'0' * 5000}1 2)(1 3)":
+                f"point 1 appears more than once in cycle notation '({'0' * 5000}1 2)(1 3)'",
         }
         for rep, message in cases.items():
             code, out, err = run(capsys, "make", "conj", "--degree", "3", "--rep", rep)
@@ -298,7 +310,7 @@ class TestUsageErrors:
 
     def test_integer_flags_take_only_ascii_digits(self, capsys):
         for argv in (["make", "dihedral", "\u0663"], ["make", "dihedral", "x"],
-                     ["enumerate", "--order", "\u0662"]):
+                     ["enumerate", "--order", "\u0662"], ["make", "dihedral", "9" * 5000]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
@@ -330,3 +342,26 @@ class TestByteStability:
         code, _, err = run(capsys, "check", "/nonexistent/table.txt")
         assert code == 1
         assert err
+
+
+# Short runs of the characters the text grammars use, and numerals at the
+# length where int() starts to refuse them.
+_PIECES = st.one_of(
+    st.text(alphabet="0123456789^.,;-+_() \t\n\u0661\u00b2x", max_size=6),
+    st.builds(str.__mul__, st.sampled_from("019"), st.integers(4295, 4305)),
+)
+
+
+class TestParserFuzz:
+    @given(text=st.lists(_PIECES, max_size=4).map("".join), degree=st.integers(-1, 9))
+    @example(text="9" * 5000, degree=3)
+    @example(text="1 2^" + "9" * 5000, degree=3)
+    @example(text=f"({'9' * 5000})", degree=3)
+    @example(text=f"5,{'0' * 5000}2", degree=3)
+    def test_text_parsers_answer_or_raise_typed_errors(self, text, degree):
+        parsers = (rq.parse_profile, cli._parse_point_list, partial(cli._parse_cycle_notation, degree))
+        for parse in parsers:
+            try:
+                parse(text)
+            except (ValueError, rq.RackError) as exc:
+                assert "Exceeds the limit" not in str(exc)

@@ -58,7 +58,10 @@ class TestIndecomposable:
 
 class TestRackProfile:
     def test_dihedral9(self):
-        assert str(rack_profile(dihedral(9))) == "1^1 2^4"
+        rt = dihedral(9)
+        assert str(rack_profile(rt)) == "1^1 2^4"
+        # One profile object per orbit, kept on the table's analysis.
+        assert rack_profile(rt) is rack_profile(rt) is per_point_patterns(rt)[0][1]
 
     def test_cyclic5(self):
         assert str(rack_profile(cyclic_rack(5))) == "5^1"

@@ -50,6 +50,9 @@ class TestParseProfile:
         for bad in ("", "x", "2^", "^2", "2^3^4", "-2", "\u0661 2", "2^\u00b2", "\uff12"):
             with pytest.raises(ProfileSyntaxError):
                 parse_profile(bad)
+        for bad, term in (("9" * 5000, 1), ("1 2^" + "9" * 5000, 2)):
+            with pytest.raises(ProfileSyntaxError, match=f"term {term} has a numeral of 5000 digits"):
+                parse_profile(bad)
 
     def test_duplicate_length(self):
         with pytest.raises(DuplicateLength):
