@@ -12,6 +12,7 @@ import argparse
 import os
 import re
 import sys
+from functools import cache
 
 from . import constructors
 from .enumeration import EnumerationFilter, census
@@ -185,7 +186,10 @@ def _build_conj(args):
     return constructors.conjugation_class_quandle(args.degree, rep)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every call of :func:`main` shares it."""
     parser = argparse.ArgumentParser(
         prog="rackq",
         description="Construct, classify and enumerate finite racks and quandles.",

@@ -12,7 +12,7 @@ so values can be shared freely across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
@@ -48,13 +48,24 @@ class TableAnalysis:
 
     ``orbits`` are the orbits of the carrier under the inner group, sorted
     by minimum; ``patterns[x]`` is the cycle profile of the translation by
-    x.  Translations in one orbit are conjugate, r_{r_a(x)} = r_a r_x r_a⁻¹,
-    so all members of an orbit share one profile object, counted once on
-    the orbit's minimum.
+    x, counted on first read.  Translations in one orbit are conjugate,
+    r_{r_a(x)} = r_a r_x r_a⁻¹, so all members of an orbit share one
+    profile object, counted once on the orbit's minimum.
     """
 
     orbits: tuple[frozenset[int], ...]
-    patterns: tuple[CycleProfile, ...]
+    rows: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def patterns(self) -> tuple[CycleProfile, ...]:
+        if len(self.orbits) == 1:
+            return (pattern(self.rows[0]),) * len(self.rows)
+        patterns: list = [None] * len(self.rows)
+        for orbit in self.orbits:
+            profile = pattern(self.rows[min(orbit)])
+            for x in orbit:
+                patterns[x] = profile
+        return tuple(patterns)
 
 
 @dataclass(frozen=True)
@@ -71,22 +82,22 @@ class RackTable:
 
     @cached_property
     def analysis(self) -> TableAnalysis:
-        """Orbits and cycle profiles, built on first use and kept on the table.
+        """Orbits, built on first use and kept on the table.
 
         The orbits come from forward closure under all translations; the
         neighbours of a point y are the entries of column y, read only for
         the points reached, and an orbit stops growing once it holds every
-        point not yet placed.  The translations in an orbit are conjugate,
-        so their cycles are counted once, on the orbit's minimum: one O(n)
-        count per orbit, not per row.
+        point not yet placed.  Cycles are counted only when a profile is
+        read, once per orbit, not per row.
         """
         rows = self.rows
-        patterns: list = [None] * self.n
+        placed: set = set()
         orbits = []
         left = self.n
-        for start in range(self.n):
-            if patterns[start] is not None:
-                continue
+        start = 0
+        while left:
+            while start in placed:
+                start += 1
             comp = {start}
             frontier = [start]
             while frontier and len(comp) < left:
@@ -94,11 +105,9 @@ class RackTable:
                 comp |= fresh
                 frontier.extend(fresh)
             left -= len(comp)
-            profile = pattern(rows[start])
-            for x in comp:
-                patterns[x] = profile
+            placed |= comp
             orbits.append(frozenset(comp))
-        return TableAnalysis(tuple(orbits), tuple(patterns))
+        return TableAnalysis(tuple(orbits), rows)
 
 
 @dataclass(frozen=True)

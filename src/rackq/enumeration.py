@@ -1,31 +1,37 @@
 """Exhaustive generation of small racks up to isomorphism.
 
-Tables are built row by row; row candidates run over permutations in
-lexicographic order (restricted to diagonal-fixing permutations when
-quandles are required).  After each placement every self-distributivity
-instance whose three entries are defined is checked, batched per pair of
-rows.  When some already-placed pair forces the next row (the translation
-by an already-known product), only that single candidate is tried; the
-same pair checks still verify it, so the set of generated tables is
-unchanged and the stream stays in lexicographic order.
+Tables are built row by row, in lexicographic order, and no step reads a
+table of all n! permutations.  Row 0 of a canonical table is a closed
+form, one per partition of n and part holding 0.  Self-distributivity
+ties each new row p = r_r to the placed rows (Ho & Nelson, "Matrices and
+finite quandles", 2005): r_{r_a(b)} = r_a r_b r_a⁻¹.  When a placed pair
+forces p, only that row is tried and the pair checks verify it.
+Otherwise p is filled cell by cell in index order, trying values in
+ascending order, and each assignment is pushed through the equations
+p∘A = B∘p that R2 gives; the rows that come out are exactly the
+permutations that pass the pair checks, still in lex order.
 
 Isomorphism rejection is orderly (Read 1978; Faradzev 1978): a table is
 emitted only if it equals its canonical form, the lexicographically
-minimal relabeling.  Rows 0..r of a relabeling by s with s({0..r}) =
-{0..r} depend only on rows 0..r, so once such an s makes that prefix
-lex-smaller every completion has a smaller relabeling; the partial table
-is dropped right after row r is accepted.  At the last row the same
-sweep runs over all n! relabelings and, for a canonical table, counts
-those that fix it, which is |Aut(T)|.  Every filter is invariant under
-isomorphism, so the class of T holds n!/|Aut(T)| labelled tables.
+minimal relabeling.  The identity is the least row, so a relabeling can
+tie the k leading identity rows only if it maps {0..k-1} onto itself,
+and its row k is then a conjugate of some placed row r_q.  The least
+such conjugate has a closed form: below r_k it rules out every
+completion, above it rules out every s with s(q) = k, and equal to it
+leaves only a coset of the centralizer of r_k to compare.  After row r
+the search drops the partial table once one of these s makes rows 0..r
+lex-smaller; at the last row the ties it counts are |Aut(T)|.  Every
+filter is invariant under isomorphism, so the class of T holds
+n!/|Aut(T)| labelled tables.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, permutations
+from itertools import chain, permutations, product
 from math import factorial
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from .core import RackTable, is_braided, is_crossed_set
@@ -78,24 +84,8 @@ class CensusReport:
 
 
 @lru_cache(maxsize=None)
-def _perms(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(permutations(range(n)))
-
-
-@lru_cache(maxsize=None)
-def _perms_fixing(n: int, i: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(p for p in _perms(n) if p[i] == i)
-
-
-@lru_cache(maxsize=None)
 def _perm_inverse_pairs(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    return tuple((s, inverse(s)) for s in _perms(n))
-
-
-@lru_cache(maxsize=None)
-def _prefix_relabelings(n: int, r: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The non-identity (s, s^-1) with s({0..r}) = {0..r}; all n! - 1 at r = n - 1."""
-    return tuple((s, sinv) for s, sinv in _perm_inverse_pairs(n)[1:] if max(s[: r + 1]) == r)
+    return tuple((s, inverse(s)) for s in permutations(range(n)))
 
 
 def _guard(n: int) -> None:
@@ -127,11 +117,10 @@ def _pairs_consistent(rows: list, r: int, n: int) -> bool:
 def _compare_relabeled(rows, s, sinv, other, n: int) -> int:
     """Sign of the relabeling of ``rows`` by s against ``other``.
 
-    Compares the first ``len(other)`` rows cell by cell in row-major
-    order and returns -1 or 1 at the first differing cell, or 0 if they
-    are equal.
+    Compares the rows cell by cell in row-major order and returns -1 or 1
+    at the first differing cell, or 0 if they are equal.
     """
-    for x in range(len(other)):
+    for x in range(n):
         src = rows[sinv[x]]
         ox = other[x]
         for y in range(n):
@@ -142,59 +131,247 @@ def _compare_relabeled(rows, s, sinv, other, n: int) -> int:
     return 0
 
 
-def _prefix_automorphisms(rows, n: int) -> int:
-    """0 if the prefix rows 0..r cannot start a canonical table, else the
-    number of relabelings preserving {0..r} that leave it unchanged.
+def _forced_row(rows: list, r: int):
+    """The only row r that a placed pair allows, or None.
 
-    For a full table this is 0 or |Aut(T)|.
+    r_{r_a(b)} = r_a r_b r_a⁻¹, so r_a(r) = v < r gives r_r = r_a⁻¹ r_v r_a,
+    and r_a(b) = r with b < r gives r_r = r_a r_b r_a⁻¹.
     """
-    fixing = 1
-    for s, sinv in _prefix_relabelings(n, len(rows) - 1):
-        sign = _compare_relabeled(rows, s, sinv, rows, n)
-        if sign < 0:
-            return 0
-        fixing += sign == 0
-    return fixing
+    for a in range(r):
+        ra = rows[a]
+        v = ra[r]
+        if v < r:
+            return tuple(map(inverse(ra).__getitem__, map(rows[v].__getitem__, ra)))
+        b = ra.index(r)
+        if b < r:
+            return tuple(map(ra.__getitem__, map(rows[b].__getitem__, inverse(ra))))
+    return None
+
+
+def _propagated_rows(rows: list, r: int, n: int, require_quandle: bool):
+    """Every row r that passes the pair checks, in lex order, when no
+    placed pair forces it.  R2 on the pairs that p = r_r completes reads
+    p∘A = B∘p, with (A, B) = (r_a, r_a) when r_a(r) = r, and (r_x, r_y) once
+    p(x) = y for x, y < r; p(x) = r gives p = r_x, p(r) = y < r gives p = r_y.
+    """
+
+    def assign(p: list, eqs: list, x: int, y: int) -> bool:
+        """Set p(x) = y and all that it implies; False on a clash."""
+        todo = [(x, y)]
+        push = todo.append
+        while todo:
+            x, y = todo.pop()
+            v = p[x]
+            if v == y:
+                continue
+            if v >= 0 or y in p:
+                return False
+            p[x] = y
+            if x < r:
+                if y < r:
+                    a, b = rows[x], rows[y]
+                    eqs.append((a, b))
+                    for c, v in enumerate(p):
+                        if v >= 0:
+                            push((a[c], b[v]))
+                elif y == r:
+                    todo.extend(enumerate(rows[x]))
+            elif x == r and y < r:
+                todo.extend(enumerate(rows[y]))
+            for a, b in eqs:
+                v = a[x]
+                if p[v] != b[y]:
+                    push((v, b[y]))
+        return True
+
+    def fill(p: list, eqs: list):
+        """Branch on the first open cell, values in ascending order."""
+        if -1 not in p:
+            yield tuple(p)
+            return
+        c = p.index(-1)
+        for d in range(n):
+            if d not in p:
+                q, e = p[:], eqs[:]
+                if assign(q, e, c, d):
+                    yield from fill(q, e)
+
+    p = [-1] * n
+    eqs = [(ra, ra) for ra in rows if ra[r] == r]
+    if not require_quandle or assign(p, eqs, r, r):
+        yield from fill(p, eqs)
+
+
+@lru_cache(maxsize=None)
+def _cycles_row(lengths: tuple[int, ...]) -> tuple[int, ...]:
+    """The closed form whose cycles run over consecutive labels
+    (a a+1 … a+l-1), with the given lengths in order.  Bounded by the
+    ordered cycle types of up to ``MAX_ORDER`` points."""
+    row: list = []
+    for length in lengths:
+        a = len(row)
+        row += range(a + 1, a + length)
+        row.append(a)
+    return tuple(row)
+
+
+def _partitions(total: int, largest: int):
+    """The partitions of ``total`` into parts of at most ``largest``, as
+    ascending tuples."""
+    if not total:
+        yield ()
+    for part in range(min(total, largest), 0, -1):
+        for tail in _partitions(total - part, part):
+            yield (*tail, part)
 
 
 @lru_cache(maxsize=None)
 def _first_rows(n: int, require_quandle: bool) -> tuple[tuple[int, ...], ...]:
-    """Row-0 candidates that can start a canonical table, in lex order."""
-    candidates = _perms_fixing(n, 0) if require_quandle else _perms(n)
-    return tuple(f for f in candidates if _prefix_automorphisms((f,), n))
+    """Row-0 candidates that can start a canonical table, in lex order: one
+    closed form (see ``_labelling``, with k = 0) per partition of n and
+    part holding 0, which must be 1 for quandles."""
+    return tuple(sorted({
+        _cycles_row((lead, *parts[:i], *parts[i + 1:]))
+        for parts in _partitions(n, n)
+        for i, lead in enumerate(parts)
+        if lead == 1 or not require_quandle
+    }))
+
+
+def _labelling(row, q: int, k: int):
+    """The least conjugate s·row·s⁻¹ over the s that map {0..k-1} onto
+    itself and q to k, as (conjugate, itemgetter(s), s⁻¹); None if row maps
+    {0..k-1} off itself.
+
+    On {0..k-1} the conjugate has the fixed points, then the cycles by
+    increasing length; from k on, q's cycle, then the fixed points, then
+    the other cycles by increasing length, each on consecutive labels.
+    """
+    if k and max(row[:k]) >= k:
+        return None
+    seen = [False] * len(row)
+    found = []
+    for start in chain((q,), range(len(row))):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        x = row[start]
+        while x != start:
+            seen[x] = True
+            cyc.append(x)
+            x = row[x]
+        # Sort by block ({0..k-1}, q's cycle, the rest), then by length.
+        found.append((1 if start == q else 0 if start < k else 2, len(cyc), cyc))
+    found.sort()
+    sinv = tuple(chain.from_iterable(cyc for _, _, cyc in found))
+    return _cycles_row(tuple(length for _, length, _ in found)), itemgetter(*inverse(sinv)), sinv
+
+
+@lru_cache(maxsize=None)
+def _centralizer(row: tuple[int, ...], k: int) -> tuple:
+    """The g that commute with a closed form, fix k and map {0..k-1} onto
+    itself, as (g, g⁻¹) pairs: each fixes k's cycle pointwise and permutes
+    the cycles of equal length inside {0..k-1} and inside the rest,
+    rotating each.  Bounded, as closed forms are."""
+    groups: dict = {}
+    a = 0
+    while a < len(row):
+        b = row.index(a) + 1
+        if a != k:
+            groups.setdefault((a > k, b - a), []).append(range(a, b))
+        a = b
+    choices = [
+        [tuple(zip(cycles, arranged, turns))
+         for arranged in permutations(cycles)
+         for turns in product(range(length), repeat=len(cycles))]
+        for (_, length), cycles in groups.items()
+    ]
+    pairs = []
+    for pick in product(*choices):
+        g = list(range(len(row)))
+        for src, dst, t in chain.from_iterable(pick):
+            g[src.start:src.stop] = [*dst[t:], *dst[:t]]
+        pairs.append((tuple(g), inverse(g)))
+    return tuple(pairs)
+
+
+def _prefix_automorphisms(rows, n: int, labels=None) -> int:
+    """0 if the prefix rows 0..r cannot start a canonical table, else the
+    number of relabelings preserving {0..r} that leave it unchanged; for a
+    full table, 0 or |Aut(T)|.
+
+    With k leading identity rows, ``labels`` holds
+    ``_labelling(rows[q], q, k)`` for q = k..r (computed if not given).  A
+    row that maps {0..k-1} off itself makes a later row the identity.  The
+    s that tie rows 0..k are g∘s_q, for the q whose closed form is r_k and
+    g in the centralizer of r_k; a closed form below r_k rules the prefix
+    out.
+    """
+    m = len(rows)
+    if labels is None:
+        identity = tuple(range(n))
+        k = next((x for x, row in enumerate(rows) if row != identity), m)
+        labels = [_labelling(rows[q], q, k) for q in range(k, m)]
+    if not labels:
+        return factorial(m) * factorial(n - m)
+    if None in labels:
+        return 0
+    k = m - len(labels)
+    rk = rows[k]
+    if any(label[0] < rk for label in labels):
+        return 0
+    count = 0
+    for cf, sq_get, sqinv in labels:
+        if cf != rk:
+            continue
+        for g, ginv in _centralizer(rk, k):
+            s = sq_get(g)
+            if m < n and max(s[:m]) >= m:
+                continue
+            sinv = tuple(map(sqinv.__getitem__, ginv))
+            sinv_get = itemgetter(*sinv)
+            for x in range(k + 1, m):
+                new = tuple(map(s.__getitem__, sinv_get(rows[sinv[x]])))
+                if new != rows[x]:
+                    if new < rows[x]:
+                        return 0
+                    break
+            else:
+                count += 1
+    return count
 
 
 def _orderly_tables(
     n: int, require_quandle: bool, first_rows: tuple[tuple[int, ...], ...]
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
-    """Yield (rows, |Aut|) for every canonical labelled table, in lex order."""
-    all_rows = _perms(n)
+    """Yield (rows, |Aut|) for every canonical labelled table, in lex order.
+    Each row's labelling is computed once, when the row is placed."""
+    identity = tuple(range(n))
     rows: list = []
-
-    def candidates(r: int):
-        for a in range(r):
-            ra = rows[a]
-            for b in range(r):
-                if ra[b] == r:
-                    rb = rows[b]
-                    inv = inverse(ra)
-                    return (tuple(ra[rb[inv[c]]] for c in range(n)),)
-        if r == 0:
-            return first_rows
-        return _perms_fixing(n, r) if require_quandle else all_rows
+    labels: list = []
 
     def extend(r: int):
-        for cand in candidates(r):
-            if require_quandle and cand[r] != r:
-                continue
+        forced = _forced_row(rows, r) if r else None
+        if r == 0:
+            candidates = first_rows
+        elif forced is None:
+            candidates = _propagated_rows(rows, r, n, require_quandle)
+        else:
+            candidates = (forced,) if not require_quandle or forced[r] == r else ()
+        for cand in candidates:
             rows.append(cand)
-            if _pairs_consistent(rows, r, n):
-                fixing = _prefix_automorphisms(rows, n)
-                if fixing:
-                    if r == n - 1:
-                        yield tuple(rows), fixing
-                    else:
-                        yield from extend(r + 1)
+            labelled = bool(labels) or cand != identity
+            if labelled:
+                labels.append(_labelling(cand, r, r - len(labels)))
+            if forced is None or _pairs_consistent(rows, r, n):
+                fixing = _prefix_automorphisms(rows, n, labels)
+                if fixing and r == n - 1:
+                    yield tuple(rows), fixing
+                elif fixing:
+                    yield from extend(r + 1)
+            if labelled:
+                labels.pop()
             rows.pop()
 
     yield from extend(0)

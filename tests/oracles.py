@@ -153,6 +153,20 @@ def _inverse(p):
     return inv
 
 
+def _completes_consistently(rows, r):
+    """Every self-distributivity instance completed by row r holds, batched
+    per pair of rows."""
+    n = len(rows[0])
+    for a in range(r + 1):
+        for b in range(r + 1):
+            v = rows[a][b]
+            if v <= r and r in (a, b, v):
+                ra, rb, rv = rows[a], rows[b], rows[v]
+                if any(ra[rb[c]] != rv[ra[c]] for c in range(n)):
+                    return False
+    return True
+
+
 def _unpruned_labelled_tables(n, require_quandle):
     """Every valid labelled table (as a row tuple) in lex order.
 
@@ -171,16 +185,6 @@ def _unpruned_labelled_tables(n, require_quandle):
                     return [tuple(ra[rb[inv[c]]] for c in range(n))]
         return [p for p in perms if p[r] == r] if require_quandle else perms
 
-    def consistent(r):
-        for a in range(r + 1):
-            for b in range(r + 1):
-                v = rows[a][b]
-                if v <= r and r in (a, b, v):
-                    ra, rb, rv = rows[a], rows[b], rows[v]
-                    if any(ra[rb[c]] != rv[ra[c]] for c in range(n)):
-                        return False
-        return True
-
     def extend(r):
         if r == n:
             yield tuple(rows)
@@ -189,11 +193,63 @@ def _unpruned_labelled_tables(n, require_quandle):
             if require_quandle and cand[r] != r:
                 continue
             rows.append(cand)
-            if consistent(r):
+            if _completes_consistently(rows, r):
                 yield from extend(r + 1)
             rows.pop()
 
     yield from extend(0)
+
+
+def filtered_rows(rows, n, require_quandle):
+    """The candidates for row r = len(rows) as the census first drew them:
+    all n! permutations in lex order (those fixing r for quandles), kept
+    when the self-distributivity instances they complete hold."""
+    r = len(rows)
+    return [
+        p
+        for p in permutations(range(n))
+        if not (require_quandle and p[r] != r) and _completes_consistently([*rows, p], r)
+    ]
+
+
+def prefix_sweep(rows, n):
+    """The census's prefix test as a sweep over all n! relabelings.
+
+    Only the s with s({0..r}) = {0..r} are considered, since rows 0..r of
+    their relabelings depend on rows 0..r alone.  Returns 0 if one of them
+    makes those rows lex-smaller, else the number that leave them
+    unchanged, the identity included.
+    """
+    m = len(rows)
+    count = 0
+    for s in permutations(range(n)):
+        if max(s[:m]) >= m:
+            continue
+        sinv = _inverse(s)
+        for x in range(m):
+            row = tuple(s[rows[sinv[x]][sinv[y]]] for y in range(n))
+            if row != rows[x]:
+                if row < rows[x]:
+                    return 0
+                break
+        else:
+            count += 1
+    return count
+
+
+def least_conjugates(n, require_quandle):
+    """The rows f that are least among their conjugates s f s^-1 with
+    s(0) = 0, in lex order: the census's first rows as once filtered from
+    all n! permutations.  Each class is marked when its least member, the
+    first one met in lex order, is found."""
+    stabilizer = [(s, _inverse(s)) for s in permutations(range(n)) if s[0] == 0]
+    seen = set()
+    least = []
+    for f in permutations(range(n)):
+        if f not in seen:
+            least.append(f)
+            seen.update(tuple(s[f[sinv[y]]] for y in range(n)) for s, sinv in stabilizer)
+    return [f for f in least if not require_quandle or f[0] == 0]
 
 
 def _relabeling_is_smaller(rows, s, sinv):
@@ -424,8 +480,9 @@ def parse_table_per_token(text):
 
 
 def table_analysis_per_row(rt):
-    """``RackTable.analysis`` as first built: every column is read up front,
-    and the profile of every row is counted on its own."""
+    """The orbits and per-point profiles of ``RackTable.analysis`` as first
+    built: every column is read up front, and the profile of every row is
+    counted on its own."""
     cols = tuple(map(frozenset, zip(*rt.rows)))
     unseen = set(range(rt.n))
     orbits = []
@@ -440,4 +497,4 @@ def table_analysis_per_row(rt):
         orbits.append(frozenset(comp))
         unseen -= comp
     patterns = tuple(rq.perm.pattern(row) for row in rt.rows)
-    return rq.core.TableAnalysis(tuple(orbits), patterns)
+    return tuple(orbits), patterns

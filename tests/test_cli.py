@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from functools import partial
 
@@ -323,6 +326,24 @@ class TestUsageErrors:
                     main(argv)
                 assert exc.value.code == 2, argv
                 assert f"invalid int value: {text!r}" in capsys.readouterr().err
+
+    def test_parser_is_reused_unchanged_after_a_usage_error(self, capsys, monkeypatch):
+        # The parser is built once per process; a failed parse must leave it
+        # as a fresh process builds it.
+        monkeypatch.setenv("COLUMNS", "80")
+        bad, good = ["enumerate", "--order", "x"], ["enumerate", "--order", "4", "--quandle"]
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        code, out, _ = run(capsys, *good)
+        env = {**os.environ, "COLUMNS": "80",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(rq.__file__))}
+        script = "import sys; from rackq.cli import main; sys.exit(main(sys.argv[1:]))"
+        fresh = [subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                                text=True, env=env) for argv in (bad, good)]
+        assert (fresh[0].returncode, fresh[0].stderr) == (2, err)
+        assert (fresh[1].returncode, fresh[1].stdout) == (code, out)
 
     def test_negative_order_stays_a_domain_error(self, capsys):
         code, out, err = run(capsys, "enumerate", "--order", "-3")

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -83,15 +84,12 @@ class TestKnownCounts:
 
     # Published counts: OEIS A181771 (racks), A057851 (quandles) and
     # A181769 (connected quandles).
-    @pytest.mark.slow
     def test_racks_order_7(self):
         assert census(7).total_up_to_iso == 2080
 
-    @pytest.mark.slow
     def test_quandles_order_7(self):
         assert census(7, EnumerationFilter(require_quandle=True)).total_up_to_iso == 298
 
-    @pytest.mark.slow
     def test_connected_quandles_order_7(self):
         rep = census(7, EnumerationFilter(require_quandle=True, require_indecomposable=True))
         assert rep.total_up_to_iso == 5
@@ -254,10 +252,11 @@ class TestOrderlySearch:
         for n in range(1, 8):
             assert enumeration._prefix_automorphisms(trivial(n).rows, n) == math.factorial(n)
         assert enumeration._prefix_automorphisms(dihedral(3).rows, 3) == 6
-        for rt in rack_reps[4]:
-            assert enumeration._prefix_automorphisms(rt.rows, 4) == oracles.automorphism_count(
-                rt.rows
-            )
+        for n in (4, 5):
+            for rt in rack_reps[n]:
+                assert enumeration._prefix_automorphisms(rt.rows, n) == oracles.automorphism_count(
+                    rt.rows
+                )
 
     def test_non_canonical_table_has_no_count(self):
         moved = relabel(dihedral(5), (1, 0, 2, 3, 4))
@@ -270,6 +269,84 @@ class TestOrderlySearch:
             assert firsts == tuple(sorted(firsts))
             assert {rt.rows[0] for rt in rack_reps[n]} <= set(firsts)
         assert len(enumeration._first_rows(5, False)) == 12
+
+    @pytest.mark.parametrize("quandle", (False, True))
+    def test_first_rows_are_the_least_conjugates(self, quandle):
+        for n in range(1, 8):
+            assert list(enumeration._first_rows(n, quandle)) == oracles.least_conjugates(n, quandle)
+        assert len(enumeration._first_rows(7, quandle)) == (11 if quandle else 30)
+
+    def test_centralizer_sizes(self):
+        # Every closed form: cycles on consecutive labels, with lengths
+        # sorted inside {0..k-1}, then k's cycle, then the rest sorted.
+        for n in range(1, 8):
+            for k in range(n):
+                for inner in enumeration._partitions(k, k):
+                    for lead in range(1, n - k + 1):
+                        for rest in enumeration._partitions(n - k - lead, n):
+                            row = enumeration._cycles_row((*inner, lead, *rest))
+                            group = [g for g, _ in enumeration._centralizer(row, k)]
+                            size = math.prod(
+                                length**m * math.factorial(m)
+                                for block in (inner, rest)
+                                for length, m in Counter(block).items()
+                            )
+                            assert len(group) == len(set(group)) == size, (row, k)
+                            for g in group:
+                                assert all(g[row[x]] == row[g[x]] for x in range(n))
+                                assert g[k] == k and sorted(g[:k]) == list(range(k))
+
+
+def _visited(monkeypatch, n, quandle):
+    """Run one census, recording each prefix whose next row is not forced
+    and each prefix test with its result."""
+    unforced, tested = [], []
+    propagated_rows = enumeration._propagated_rows
+    prefix_automorphisms = enumeration._prefix_automorphisms
+
+    def recording_rows(rows, r, n, require_quandle):
+        unforced.append(tuple(rows))
+        return propagated_rows(rows, r, n, require_quandle)
+
+    def recording_test(rows, n, labels=None):
+        result = prefix_automorphisms(rows, n, labels)
+        tested.append((tuple(rows), result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_propagated_rows", recording_rows)
+        patch.setattr(enumeration, "_prefix_automorphisms", recording_test)
+        census(n, EnumerationFilter(require_quandle=quandle))
+    return unforced, tested
+
+
+class TestSearchAgainstSlowPaths:
+    """The propagated candidates and the coset canonicity test against the
+    n! candidate filter and the n! relabeling sweep they replaced, on every
+    prefix that the order-5 rack and order-6 quandle searches visit."""
+
+    @pytest.mark.parametrize("n, quandle", ((5, False), (6, True)))
+    def test_propagated_rows_are_the_filtered_permutations(self, monkeypatch, n, quandle):
+        unforced, _ = _visited(monkeypatch, n, quandle)
+        assert len(unforced) > 20
+        for rows in unforced:
+            got = list(enumeration._propagated_rows(list(rows), len(rows), n, quandle))
+            assert got == oracles.filtered_rows(rows, n, quandle), rows
+
+    @pytest.mark.parametrize("n, quandle", ((5, False), (6, True)))
+    def test_prefix_test_matches_the_sweep(self, monkeypatch, n, quandle):
+        _, tested = _visited(monkeypatch, n, quandle)
+        leaves = 0
+        for rows, result in tested:
+            swept = oracles.prefix_sweep(rows, n)
+            if len(rows) == n:
+                leaves += 1
+                assert result == swept, rows
+            elif result:
+                # Rejections may be earlier than the sweep's: they are sound
+                # (see the census oracles), but a count must be exact.
+                assert result == swept, rows
+        assert leaves > 50
 
 
 class TestWorkerClamp:

@@ -192,6 +192,11 @@ class TestTableAnalysis:
             per_point_patterns(rt)
             assert len(calls) == orbits
 
+    def test_connectivity_counts_no_cycles(self, monkeypatch):
+        calls = _count_cycle_lengths(monkeypatch)
+        assert is_indecomposable(dihedral(31))
+        assert calls == []
+
     def test_table_is_not_kept_alive(self):
         rt = dihedral(7)
         rack_profile(rt)
@@ -225,7 +230,8 @@ class TestTableAnalysis:
         for n in range(1, 6):
             tables.extend(rack_reps[n])
         for rt in tables:
-            assert rt.analysis == oracles.table_analysis_per_row(rt)
+            analysis = rt.analysis
+            assert (analysis.orbits, analysis.patterns) == oracles.table_analysis_per_row(rt)
 
     def test_matches_per_row_oracle_on_many_orbits(self):
         # Disjoint unions of small racks, and a trivial rack: one orbit per
@@ -240,5 +246,6 @@ class TestTableAnalysis:
                 for x in range(c * k, c * k + k)
             ]
             rt = rq.validate(n, rows)
-            assert len(rt.analysis.orbits) == copies
-            assert rt.analysis == oracles.table_analysis_per_row(rt)
+            analysis = rt.analysis
+            assert len(analysis.orbits) == copies
+            assert (analysis.orbits, analysis.patterns) == oracles.table_analysis_per_row(rt)
