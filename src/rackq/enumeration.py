@@ -13,7 +13,8 @@ permutations that pass the pair checks, still in lex order.
 
 Isomorphism rejection is orderly (Read 1978; Faradzev 1978): a table is
 emitted only if it equals its canonical form, the lexicographically
-minimal relabeling.  The identity is the least row, so a relabeling can
+minimal relabeling, which ``canonical_form`` finds by the same search.
+The identity is the least row, so a relabeling can
 tie the k leading identity rows only if it maps {0..k-1} onto itself,
 and its row k is then a conjugate of some placed row r_q.  The least
 such conjugate has a closed form: below r_k it rules out every
@@ -34,19 +35,19 @@ from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .core import RackTable, is_braided, is_crossed_set
+from .core import RackTable, is_braided, is_crossed_set, validate
 from .errors import RackError
 from .inner import is_indecomposable, rack_profile
-from .perm import inverse
+from .perm import inverse, is_permutation
 
 MAX_ORDER = 7
 
 
 class OrderTooLarge(RackError):
-    """The requested order exceeds the search guard."""
+    """The requested order lies outside the search guard, 1..MAX_ORDER."""
 
     def __init__(self, n: int):
-        super().__init__(f"enumeration is guarded at order {MAX_ORDER}, got {n}")
+        super().__init__(f"order must be in 1..{MAX_ORDER}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -83,11 +84,6 @@ class CensusReport:
     histogram: dict[str, int] = field(default_factory=dict)
 
 
-@lru_cache(maxsize=None)
-def _perm_inverse_pairs(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    return tuple((s, inverse(s)) for s in permutations(range(n)))
-
-
 def _guard(n: int) -> None:
     if not 1 <= n <= MAX_ORDER:
         raise OrderTooLarge(n)
@@ -114,20 +110,15 @@ def _pairs_consistent(rows: list, r: int, n: int) -> bool:
     return True
 
 
-def _compare_relabeled(rows, s, sinv, other, n: int) -> int:
-    """Sign of the relabeling of ``rows`` by s against ``other``.
-
-    Compares the rows cell by cell in row-major order and returns -1 or 1
-    at the first differing cell, or 0 if they are equal.
-    """
-    for x in range(n):
-        src = rows[sinv[x]]
-        ox = other[x]
-        for y in range(n):
-            v = s[src[sinv[y]]]
-            w = ox[y]
-            if v != w:
-                return -1 if v < w else 1
+def _compare_relabeled(rows, s, sinv, other, start: int, stop: int) -> int:
+    """Sign of rows start..stop-1 of the relabeling of ``rows`` by s
+    against those of ``other``, row by row: -1 or 1 at the first row that
+    differs, else 0.  Row x of the relabeling is s·r_{s⁻¹(x)}·s⁻¹."""
+    sinv_get = itemgetter(*sinv)
+    for x in range(start, stop):
+        new = tuple(map(s.__getitem__, sinv_get(rows[sinv[x]])))
+        if new != other[x]:
+            return -1 if new < other[x] else 1
     return 0
 
 
@@ -296,6 +287,13 @@ def _centralizer(row: tuple[int, ...], k: int) -> tuple:
     return tuple(pairs)
 
 
+def _row_labels(rows, n: int) -> list:
+    """``_labelling`` of each row after the k leading identity rows."""
+    identity = tuple(range(n))
+    k = next((x for x, row in enumerate(rows) if row != identity), len(rows))
+    return [_labelling(rows[q], q, k) for q in range(k, len(rows))]
+
+
 def _prefix_automorphisms(rows, n: int, labels=None) -> int:
     """0 if the prefix rows 0..r cannot start a canonical table, else the
     number of relabelings preserving {0..r} that leave it unchanged; for a
@@ -310,9 +308,7 @@ def _prefix_automorphisms(rows, n: int, labels=None) -> int:
     """
     m = len(rows)
     if labels is None:
-        identity = tuple(range(n))
-        k = next((x for x, row in enumerate(rows) if row != identity), m)
-        labels = [_labelling(rows[q], q, k) for q in range(k, m)]
+        labels = _row_labels(rows, n)
     if not labels:
         return factorial(m) * factorial(n - m)
     if None in labels:
@@ -329,15 +325,10 @@ def _prefix_automorphisms(rows, n: int, labels=None) -> int:
             s = sq_get(g)
             if m < n and max(s[:m]) >= m:
                 continue
-            sinv = tuple(map(sqinv.__getitem__, ginv))
-            sinv_get = itemgetter(*sinv)
-            for x in range(k + 1, m):
-                new = tuple(map(s.__getitem__, sinv_get(rows[sinv[x]])))
-                if new != rows[x]:
-                    if new < rows[x]:
-                        return 0
-                    break
-            else:
+            sign = _compare_relabeled(rows, s, tuple(map(sqinv.__getitem__, ginv)), rows, k + 1, m)
+            if sign < 0:
+                return 0
+            if sign == 0:
                 count += 1
     return count
 
@@ -460,24 +451,33 @@ def _parallel_batches(n: int, filt: EnumerationFilter, workers: int):
 
 
 def canonical_form(r: RackTable) -> RackTable:
-    """The lexicographically minimal relabeling of the table."""
+    """The lexicographically minimal relabeling, found as in the census:
+    sorting the points by row moves the identity rows, the least, first;
+    then only the cosets g∘s_q reaching the least closed form of the other
+    rows are compared.  Raises ``TableValidationError`` on a non-rack."""
     _guard(r.n)
     n = r.n
-    rows = r.rows
-    best = rows
-    for s, sinv in _perm_inverse_pairs(n):
-        if _compare_relabeled(rows, s, sinv, best, n) < 0:
-            best = relabel(r, s).rows
+    r = relabel(validate(n, r.rows), inverse(sorted(range(n), key=r.rows.__getitem__)))
+    rows = best = r.rows
+    labels = _row_labels(rows, n)
+    k = n - len(labels)
+    least = min((label[0] for label in labels), default=None)
+    for cf, sq_get, sqinv in labels:
+        if cf == least:
+            for g, ginv in _centralizer(cf, k):
+                s = sq_get(g)
+                if _compare_relabeled(rows, s, tuple(map(sqinv.__getitem__, ginv)), best, k, n) < 0:
+                    best = relabel(r, s).rows
     return RackTable(n, best)
 
 
 def relabel(r: RackTable, sigma: tuple[int, ...]) -> RackTable:
-    """Apply a relabeling permutation to the table."""
-    n = r.n
+    """The table relabeled by sigma: row sigma(x) is sigma·r_x·sigma⁻¹.
+    Raises ``ValueError`` unless sigma permutes the table's points."""
+    if len(sigma) != r.n or not is_permutation(sigma):
+        raise ValueError(f"sigma {sigma} is not a permutation of 0..{r.n - 1}")
     inv = inverse(sigma)
-    return RackTable(
-        n, tuple(tuple(sigma[r.rows[inv[x]][inv[y]]] for y in range(n)) for x in range(n))
-    )
+    return RackTable(r.n, tuple(tuple(sigma[r.rows[x][y]] for y in inv) for x in inv))
 
 
 def are_isomorphic(a: RackTable, b: RackTable) -> bool:

@@ -4,6 +4,7 @@ Everything here deliberately avoids the package's own search and
 canonicalization machinery, so agreement between the two is meaningful.
 """
 import math
+from functools import lru_cache
 from itertools import permutations, product
 
 import rackq as rq
@@ -252,17 +253,38 @@ def least_conjugates(n, require_quandle):
     return [f for f in least if not require_quandle or f[0] == 0]
 
 
-def _relabeling_is_smaller(rows, s, sinv):
-    """Cell-by-cell row-major comparison of the relabeled table with the
-    original, stopping at the first differing cell."""
-    n = len(rows)
+def _compare_relabeled(rows, s, sinv, other, n: int) -> int:
+    """Sign of the relabeling of ``rows`` by s against ``other``.
+
+    Compares the rows cell by cell in row-major order and returns -1 or 1
+    at the first differing cell, or 0 if they are equal.
+    """
     for x in range(n):
         src = rows[sinv[x]]
+        ox = other[x]
         for y in range(n):
-            v, w = s[src[sinv[y]]], rows[x][y]
+            v = s[src[sinv[y]]]
+            w = ox[y]
             if v != w:
-                return v < w
-    return False
+                return -1 if v < w else 1
+    return 0
+
+
+@lru_cache(maxsize=None)
+def _perm_inverse_pairs(n):
+    return tuple((s, _inverse(s)) for s in permutations(range(n)))
+
+
+def canonical_sweep(rt):
+    """``rackq.canonical_form`` as first built: the least relabeling among
+    all n!, each compared cell by cell with the best so far."""
+    n = rt.n
+    rows = rt.rows
+    best = rows
+    for s, sinv in _perm_inverse_pairs(n):
+        if _compare_relabeled(rows, s, sinv, best, n) < 0:
+            best = relabel_table(rows, s)
+    return rq.RackTable(n, best)
 
 
 def unpruned_census(n, filt):
@@ -275,7 +297,7 @@ def unpruned_census(n, filt):
     the package's public predicates.  Returns the ``CensusReport`` and the
     representatives' rows in stream order.
     """
-    sigmas = [(s, _inverse(s)) for s in permutations(range(n))]
+    sigmas = _perm_inverse_pairs(n)
     report = rq.CensusReport(order=n, filters=filt, total_up_to_iso=0, total_labelled=0)
     reps = []
     for rows in _unpruned_labelled_tables(n, filt.require_quandle):
@@ -287,7 +309,7 @@ def unpruned_census(n, filt):
         if filt.require_indecomposable and not rq.is_indecomposable(rt):
             continue
         report.total_labelled += 1
-        if any(_relabeling_is_smaller(rows, s, sinv) for s, sinv in sigmas):
+        if any(_compare_relabeled(rows, s, sinv, rows, n) < 0 for s, sinv in sigmas):
             continue
         reps.append(rows)
         report.total_up_to_iso += 1

@@ -295,9 +295,10 @@ class TestEnumerate:
         assert json.loads(out)["total_up_to_iso"] == 6
 
     def test_guard_is_domain_error(self, capsys):
-        code, _, err = run(capsys, "enumerate", "--order", "9")
-        assert code == 1
-        assert "guarded" in err
+        for order in ("9", "0"):
+            code, _, err = run(capsys, "enumerate", "--order", order)
+            assert code == 1
+            assert err == f"order must be in 1..7, got {order}\n"
 
 
 class TestUsageErrors:
@@ -348,7 +349,7 @@ class TestUsageErrors:
     def test_negative_order_stays_a_domain_error(self, capsys):
         code, out, err = run(capsys, "enumerate", "--order", "-3")
         assert (code, out) == (1, "")
-        assert "guarded" in err
+        assert err == "order must be in 1..7, got -3\n"
 
 
 class TestByteStability:

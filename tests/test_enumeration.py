@@ -132,6 +132,52 @@ class TestCanonicalForm:
         for rt in rack_reps[5][:30]:
             assert canonical_form(rt).rows <= rt.rows
 
+    def test_non_rack_is_a_typed_error(self):
+        # r_0 is a 3-cycle and r_0 r_0 = r_{r_0(0)} r_0 = r_0 fails.
+        table = rq.RackTable(3, ((1, 2, 0), (0, 1, 2), (0, 1, 2)))
+        with pytest.raises(rq.TableValidationError):
+            canonical_form(table)
+        with pytest.raises(rq.TableValidationError):
+            are_isomorphic(dihedral(3), table)
+
+
+def _with_relabelings(tables, seed):
+    """Each table followed by one seeded relabeling of it."""
+    rng = random.Random(seed)
+    return [t for rt in tables for t in (rt, relabel(rt, rng.sample(range(rt.n), rt.n)))]
+
+
+class TestCanonicalFormAgainstSweep:
+    """The coset search against the n! relabeling sweep it replaced."""
+
+    def test_racks_up_to_order_6(self, rack_reps, rack_reps6):
+        tables = [rt for n in range(1, 6) for rt in rack_reps[n]] + rack_reps6
+        for rt in _with_relabelings(tables, 13):
+            assert canonical_form(rt) == oracles.canonical_sweep(rt), rt
+
+    def test_quandles_order_7(self):
+        quandles = list(enumerate_racks(7, EnumerationFilter(require_quandle=True)))
+        assert len(quandles) == 298
+        for rt in _with_relabelings(quandles, 17):
+            assert canonical_form(rt) == oracles.canonical_sweep(rt), rt
+
+    @pytest.mark.slow
+    def test_racks_order_7(self):
+        # Sweeping a relabeling of each representative leads back to it.
+        tables = _with_relabelings(enumerate_racks(7), 19)
+        assert len(tables) == 2 * 2080
+        for rt, moved in zip(tables[::2], tables[1::2]):
+            assert canonical_form(moved) == oracles.canonical_sweep(moved) == rt, moved
+            assert canonical_form(rt) == rt
+
+
+class TestRelabel:
+    @pytest.mark.parametrize("sigma", [(0, 0, 1), (0, 1), (0, 1, 2, 3), (0, 1, 3), (0, 1, -1)])
+    def test_sigma_must_permute_the_points(self, sigma):
+        with pytest.raises(ValueError, match="not a permutation of 0..") as exc:
+            relabel(dihedral(3), sigma)
+        assert str(sigma) in str(exc.value)
+
 
 class TestAreIsomorphic:
     def test_relabeled_dihedral(self):
@@ -145,13 +191,20 @@ class TestAreIsomorphic:
         with pytest.raises(ValueError):
             are_isomorphic(trivial(2), trivial(3))
 
-    def test_affine_alpha_and_inverse_are_not_isomorphic_on_z5(self):
-        # Multiplication by 2 and by 3 = 2^-1 give distinct quandles: no
-        # relabeling carries one onto the other (exhaustive search).
-        a2 = rq.affine(rq.AffineSpec((5,), ((2,),)))
-        a3 = rq.affine(rq.AffineSpec((5,), ((3,),)))
-        assert oracles.iso_exists(a2.rows, a3.rows) is None
-        assert not are_isomorphic(a2, a3)
+    @pytest.mark.parametrize("p", (5, 7))
+    def test_affine_quandles_of_distinct_alpha_are_not_isomorphic(self, p):
+        # Connected Alexander quandles of one order are isomorphic exactly
+        # when their Z[t^±1]-modules are (Nelson, Topology Proc. 27, 2003),
+        # so Z_p with α = 2..p-1 gives pairwise distinct quandles.  Each is
+        # isomorphic to its relabelings.
+        quandles = [rq.affine(rq.AffineSpec((p,), ((alpha,),))) for alpha in range(2, p)]
+        for i, a in enumerate(quandles):
+            for b in quandles[i + 1:]:
+                assert oracles.iso_exists(a.rows, b.rows) is None
+                assert not are_isomorphic(a, b)
+            rng = random.Random(p)
+            for _ in range(3):
+                assert are_isomorphic(a, relabel(a, rng.sample(range(p), p)))
 
     def test_agrees_with_direct_search(self, rack_reps):
         rng = random.Random(11)
