@@ -9,6 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import re
 import sys
@@ -116,7 +117,7 @@ def _cmd_enumerate(args) -> int:
     sink = None
     if args.dump:
         os.makedirs(args.dump, exist_ok=True)
-        counter = iter(range(10**9))
+        counter = itertools.count()
 
         def sink(rt, _order=args.order):
             index = next(counter)
@@ -178,6 +179,7 @@ def _parse_cycle_notation(degree: int, text: str) -> tuple[int, ...]:
         if p in seen:
             raise ValueError(f"point {p} appears more than once in cycle notation {text!r}")
         seen.add(p)
+    constructors.check_class_size(degree, map(len, cycles))
     return from_cycles(degree, [[p - 1 for p in cyc] for cyc in cycles])
 
 

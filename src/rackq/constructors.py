@@ -11,6 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter, mul
+from typing import Iterable
 
 from .core import RackTable
 from .errors import RackError
@@ -165,6 +166,19 @@ def _conjugate(g: Perm, i: int) -> Perm:
     return tuple(h)
 
 
+def check_class_size(degree: int, lengths: Iterable[int]) -> None:
+    """Raise :class:`ClassTooLarge` if the class of cycle type ``lengths``
+    in S_degree has more than CLASS_SIZE_GUARD members: d!/z_λ, with the
+    fixed points' 1^m1 m1! cancelled into d!/m1!, so no list of length
+    ``degree`` is built."""
+    if degree < 1:
+        raise ValueError(f"degree must be positive, got {degree}")
+    counts = Counter(length for length in lengths if length > 1)
+    z = math.prod(k**m * math.factorial(m) for k, m in counts.items())
+    if math.perm(degree, sum(k * m for k, m in counts.items())) // z > CLASS_SIZE_GUARD:
+        raise ClassTooLarge(f"conjugacy class exceeds {CLASS_SIZE_GUARD} elements")
+
+
 def conjugation_class_quandle(degree: int, rep: Perm) -> RackTable:
     """The conjugation quandle on the conjugacy class of ``rep``.
 
@@ -182,17 +196,10 @@ def conjugation_class_quandle(degree: int, rep: Perm) -> RackTable:
     parent's.  Cost for N members: O(N*d^2) Python work for the BFS and
     the c_i, and O(N^2) C-level work for the rows.
     """
-    if degree < 1:
-        raise ValueError(f"degree must be positive, got {degree}")
     rep = checked(rep)
     if len(rep) != degree:
         raise ValueError(f"representative acts on {len(rep)} points, expected {degree}")
-    lengths = Counter(cycle_lengths(rep))
-    fixed = lengths.pop(1, 0)
-    # d!/z_lambda, with the fixed points' 1^m1 m1! cancelled into d!/m1!
-    z = math.prod(k**m * math.factorial(m) for k, m in lengths.items())
-    if math.perm(degree, degree - fixed) // z > CLASS_SIZE_GUARD:
-        raise ClassTooLarge(f"conjugacy class exceeds {CLASS_SIZE_GUARD} elements")
+    check_class_size(degree, cycle_lengths(rep))
     tree = {rep: None}
     order = [rep]
     for g in order:

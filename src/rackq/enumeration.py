@@ -3,13 +3,11 @@
 Tables are built row by row, in lexicographic order, and no step reads a
 table of all n! permutations.  Row 0 of a canonical table is a closed
 form, one per partition of n and part holding 0.  Self-distributivity
-ties each new row p = r_r to the placed rows (Ho & Nelson, "Matrices and
-finite quandles", 2005): r_{r_a(b)} = r_a r_b r_a⁻¹.  When a placed pair
-forces p, only that row is tried and the pair checks verify it.
-Otherwise p is filled cell by cell in index order, trying values in
-ascending order, and each assignment is pushed through the equations
-p∘A = B∘p that R2 gives; the rows that come out are exactly the
-permutations that pass the pair checks, still in lex order.
+ties each later row p = r_r to the placed rows (Ho & Nelson, "Matrices
+and finite quandles", 2005): the cells that placed pairs force seed p,
+the others are filled in index order, values ascending, and each is
+pushed through the equations p∘A = B∘p that R2 gives.  The rows that
+come out are exactly those that pass the pair checks, in lex order.
 
 Isomorphism rejection is orderly (Read 1978; Faradzev 1978): a table is
 emitted only if it equals its canonical form, the lexicographically
@@ -89,27 +87,6 @@ def _guard(n: int) -> None:
         raise OrderTooLarge(n)
 
 
-def _pairs_consistent(rows: list, r: int, n: int) -> bool:
-    """Check the self-distributivity instances completed by row r.
-
-    A triple (a, b, c) is decided once rows a, b and rows[a][b] exist;
-    batching over c turns each pair (a, b) into one composed-row
-    comparison.
-    """
-    rng = range(r + 1)
-    for a in rng:
-        ra = rows[a]
-        for b in rng:
-            v = ra[b]
-            if v <= r and (a == r or b == r or v == r):
-                rb = rows[b]
-                rv = rows[v]
-                for c in range(n):
-                    if ra[rb[c]] != rv[ra[c]]:
-                        return False
-    return True
-
-
 def _compare_relabeled(rows, s, sinv, other, start: int, stop: int) -> int:
     """Sign of rows start..stop-1 of the relabeling of ``rows`` by s
     against those of ``other``, row by row: -1 or 1 at the first row that
@@ -122,75 +99,79 @@ def _compare_relabeled(rows, s, sinv, other, start: int, stop: int) -> int:
     return 0
 
 
-def _forced_row(rows: list, r: int):
-    """The only row r that a placed pair allows, or None.
-
-    r_{r_a(b)} = r_a r_b r_a⁻¹, so r_a(r) = v < r gives r_r = r_a⁻¹ r_v r_a,
-    and r_a(b) = r with b < r gives r_r = r_a r_b r_a⁻¹.
-    """
-    for a in range(r):
-        ra = rows[a]
-        v = ra[r]
-        if v < r:
-            return tuple(map(inverse(ra).__getitem__, map(rows[v].__getitem__, ra)))
-        b = ra.index(r)
-        if b < r:
-            return tuple(map(ra.__getitem__, map(rows[b].__getitem__, inverse(ra))))
-    return None
-
-
-def _propagated_rows(rows: list, r: int, n: int, require_quandle: bool):
-    """Every row r that passes the pair checks, in lex order, when no
-    placed pair forces it.  R2 on the pairs that p = r_r completes reads
-    p∘A = B∘p, with (A, B) = (r_a, r_a) when r_a(r) = r, and (r_x, r_y) once
-    p(x) = y for x, y < r; p(x) = r gives p = r_x, p(r) = y < r gives p = r_y.
-    """
-
-    def assign(p: list, eqs: list, x: int, y: int) -> bool:
-        """Set p(x) = y and all that it implies; False on a clash."""
-        todo = [(x, y)]
-        push = todo.append
-        while todo:
-            x, y = todo.pop()
+def _assign(rows: list, r: int, p: list, eqs: list, todo):
+    """Set the pending pairs p(x) = y and all they imply on p = r_r; return
+    the equations p∘A = B∘p then known, or None on a clash.  A round places
+    every pending pair before it pushes any, so rows forced at once clash
+    first; then it pushes the placed cells through the old equations and
+    every cell through the new ones."""
+    while True:
+        placed = []
+        for x, y in todo:
             v = p[x]
-            if v == y:
-                continue
-            if v >= 0 or y in p:
-                return False
-            p[x] = y
-            if x < r:
-                if y < r:
-                    a, b = rows[x], rows[y]
-                    eqs.append((a, b))
+            if v != y:
+                if v >= 0 or y in p:
+                    return None
+                p[x] = y
+                placed.append(x)
+        if not placed:
+            return eqs
+        todo, new = [], []
+        push = todo.append
+        for x in placed:
+            y = p[x]
+            if x < r and y < r:
+                eq = a, b = rows[x], rows[y]
+                if eq not in eqs and eq not in new:
+                    new.append(eq)
                     for c, v in enumerate(p):
-                        if v >= 0:
+                        if v >= 0 and p[a[c]] != b[v]:
                             push((a[c], b[v]))
-                elif y == r:
-                    todo.extend(enumerate(rows[x]))
-            elif x == r and y < r:
-                todo.extend(enumerate(rows[y]))
+            elif x < r == y or y < r == x:
+                todo += enumerate(rows[min(x, y)])
             for a, b in eqs:
-                v = a[x]
-                if p[v] != b[y]:
-                    push((v, b[y]))
-        return True
+                v, w = a[x], b[y]
+                if p[v] != w:
+                    push((v, w))
+        if new:
+            eqs = eqs + new
 
-    def fill(p: list, eqs: list):
-        """Branch on the first open cell, values in ascending order."""
-        if -1 not in p:
-            yield tuple(p)
-            return
-        c = p.index(-1)
-        for d in range(n):
-            if d not in p:
-                q, e = p[:], eqs[:]
-                if assign(q, e, c, d):
-                    yield from fill(q, e)
 
+def _propagated_rows(rows: list, r: int, n: int, require_quandle: bool) -> list:
+    """Every row r that satisfies R2, r_a r_b = r_{r_a(b)} r_a, with the
+    placed rows, in lex order.  The instances it completes with p = r_r:
+    - r_a(r) = v < r forces p = r_a⁻¹ r_v r_a, and r_a(b) = r with b < r
+      forces p(r_a(c)) = r_a(r_b(c)); these seed p;
+    - r_a(r) = r gives p∘r_a = r_a∘p, p(x) = y < r gives p∘r_x = r_y∘p,
+      p(x) = r gives p = r_x, and p(r) = y < r gives p = r_y.
+    Then p is filled cell by cell in index order, values ascending, and
+    each choice is pushed through these."""
+    seeds = [((r, r),)] if require_quandle else []
+    eqs = []
+    for ra in rows:
+        v = ra[r]
+        if v == r:
+            eqs.append((ra, ra))
+        elif v < r:
+            seeds.append(enumerate(map(ra.index, map(rows[v].__getitem__, ra))))
+        if (b := ra.index(r)) < r:
+            seeds.append(zip(ra, map(ra.__getitem__, rows[b])))
     p = [-1] * n
-    eqs = [(ra, ra) for ra in rows if ra[r] == r]
-    if not require_quandle or assign(p, eqs, r, r):
-        yield from fill(p, eqs)
+    stack = [(p, _assign(rows, r, p, eqs, chain.from_iterable(seeds)))]
+    found = []
+    while stack:
+        p, eqs = stack.pop()
+        if eqs is None:
+            continue
+        if -1 not in p:
+            found.append(tuple(p))
+            continue
+        c = p.index(-1)
+        for d in range(n - 1, -1, -1):
+            if d not in p:
+                q = p[:]
+                stack.append((q, _assign(rows, r, q, eqs, ((c, d),))))
+    return found
 
 
 @lru_cache(maxsize=None)
@@ -294,21 +275,19 @@ def _row_labels(rows, n: int) -> list:
     return [_labelling(rows[q], q, k) for q in range(k, len(rows))]
 
 
-def _prefix_automorphisms(rows, n: int, labels=None) -> int:
+def _prefix_automorphisms(rows, n: int, labels: list) -> int:
     """0 if the prefix rows 0..r cannot start a canonical table, else the
     number of relabelings preserving {0..r} that leave it unchanged; for a
     full table, 0 or |Aut(T)|.
 
     With k leading identity rows, ``labels`` holds
-    ``_labelling(rows[q], q, k)`` for q = k..r (computed if not given).  A
+    ``_labelling(rows[q], q, k)`` for q = k..r (see ``_row_labels``).  A
     row that maps {0..k-1} off itself makes a later row the identity.  The
     s that tie rows 0..k are g∘s_q, for the q whose closed form is r_k and
     g in the centralizer of r_k; a closed form below r_k rules the prefix
     out.
     """
     m = len(rows)
-    if labels is None:
-        labels = _row_labels(rows, n)
     if not labels:
         return factorial(m) * factorial(n - m)
     if None in labels:
@@ -343,24 +322,16 @@ def _orderly_tables(
     labels: list = []
 
     def extend(r: int):
-        forced = _forced_row(rows, r) if r else None
-        if r == 0:
-            candidates = first_rows
-        elif forced is None:
-            candidates = _propagated_rows(rows, r, n, require_quandle)
-        else:
-            candidates = (forced,) if not require_quandle or forced[r] == r else ()
-        for cand in candidates:
+        for cand in _propagated_rows(rows, r, n, require_quandle) if r else first_rows:
             rows.append(cand)
             labelled = bool(labels) or cand != identity
             if labelled:
                 labels.append(_labelling(cand, r, r - len(labels)))
-            if forced is None or _pairs_consistent(rows, r, n):
-                fixing = _prefix_automorphisms(rows, n, labels)
-                if fixing and r == n - 1:
-                    yield tuple(rows), fixing
-                elif fixing:
-                    yield from extend(r + 1)
+            fixing = _prefix_automorphisms(rows, n, labels)
+            if fixing and r == n - 1:
+                yield tuple(rows), fixing
+            elif fixing:
+                yield from extend(r + 1)
             if labelled:
                 labels.pop()
             rows.pop()

@@ -201,6 +201,24 @@ def _unpruned_labelled_tables(n, require_quandle):
     yield from extend(0)
 
 
+def forced_rows(rows):
+    """The set of rows r = len(rows) that placed pairs force:
+    r_a r_b r_a⁻¹ when r_a(b) = r for placed a, b, and r_a⁻¹ r_v r_a when
+    r_a(r) = v for placed a, v."""
+    r = len(rows)
+    found = set()
+    for ra in rows:
+        inv = _inverse(ra)
+        n = len(ra)
+        for b, rb in enumerate(rows):
+            if ra[b] == r:
+                found.add(tuple(ra[rb[inv[c]]] for c in range(n)))
+        if ra[r] < r:
+            rv = rows[ra[r]]
+            found.add(tuple(inv[rv[ra[c]]] for c in range(n)))
+    return found
+
+
 def filtered_rows(rows, n, require_quandle):
     """The candidates for row r = len(rows) as the census first drew them:
     all n! permutations in lex order (those fixing r for quandles), kept

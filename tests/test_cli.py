@@ -103,6 +103,13 @@ class TestMake:
         assert time.perf_counter() - start < 1.0
         assert (code, out, err) == (1, "", "conjugacy class exceeds 10000 elements\n")
 
+    @pytest.mark.parametrize("degree", ["1000000000", "1" + "0" * 30])
+    def test_conj_huge_degree_is_sized_before_building(self, capsys, degree):
+        # A permutation of this degree would need gigabytes, or more
+        # points than a list can index.
+        code, out, err = run(capsys, "make", "conj", "--degree", degree, "--rep", "(1 2)")
+        assert (code, out, err) == (1, "", "conjugacy class exceeds 10000 elements\n")
+
 
 class TestProfilePipeline:
     def test_dihedral9_profile(self, capsys, monkeypatch):

@@ -302,19 +302,21 @@ class TestOrderlySearch:
         )
 
     def test_automorphism_counts(self, rack_reps):
+        def count(rows, n):
+            return enumeration._prefix_automorphisms(rows, n, enumeration._row_labels(rows, n))
+
         for n in range(1, 8):
-            assert enumeration._prefix_automorphisms(trivial(n).rows, n) == math.factorial(n)
-        assert enumeration._prefix_automorphisms(dihedral(3).rows, 3) == 6
+            assert count(trivial(n).rows, n) == math.factorial(n)
+        assert count(dihedral(3).rows, 3) == 6
         for n in (4, 5):
             for rt in rack_reps[n]:
-                assert enumeration._prefix_automorphisms(rt.rows, n) == oracles.automorphism_count(
-                    rt.rows
-                )
+                assert count(rt.rows, n) == oracles.automorphism_count(rt.rows)
 
     def test_non_canonical_table_has_no_count(self):
         moved = relabel(dihedral(5), (1, 0, 2, 3, 4))
         assert canonical_form(moved) != moved
-        assert enumeration._prefix_automorphisms(moved.rows, 5) == 0
+        labels = enumeration._row_labels(moved.rows, 5)
+        assert enumeration._prefix_automorphisms(moved.rows, 5, labels) == 0
 
     def test_first_rows_are_the_canonical_tables_first_rows(self, rack_reps):
         for n in range(1, 6):
@@ -351,17 +353,17 @@ class TestOrderlySearch:
 
 
 def _visited(monkeypatch, n, quandle):
-    """Run one census, recording each prefix whose next row is not forced
-    and each prefix test with its result."""
-    unforced, tested = [], []
+    """Run one census, recording each prefix whose next row's candidates
+    are drawn, forced or not, and each prefix test with its result."""
+    prefixes, tested = [], []
     propagated_rows = enumeration._propagated_rows
     prefix_automorphisms = enumeration._prefix_automorphisms
 
     def recording_rows(rows, r, n, require_quandle):
-        unforced.append(tuple(rows))
+        prefixes.append(tuple(rows))
         return propagated_rows(rows, r, n, require_quandle)
 
-    def recording_test(rows, n, labels=None):
+    def recording_test(rows, n, labels):
         result = prefix_automorphisms(rows, n, labels)
         tested.append((tuple(rows), result))
         return result
@@ -370,7 +372,7 @@ def _visited(monkeypatch, n, quandle):
         patch.setattr(enumeration, "_propagated_rows", recording_rows)
         patch.setattr(enumeration, "_prefix_automorphisms", recording_test)
         census(n, EnumerationFilter(require_quandle=quandle))
-    return unforced, tested
+    return prefixes, tested
 
 
 class TestSearchAgainstSlowPaths:
@@ -380,11 +382,19 @@ class TestSearchAgainstSlowPaths:
 
     @pytest.mark.parametrize("n, quandle", ((5, False), (6, True)))
     def test_propagated_rows_are_the_filtered_permutations(self, monkeypatch, n, quandle):
-        unforced, _ = _visited(monkeypatch, n, quandle)
-        assert len(unforced) > 20
-        for rows in unforced:
-            got = list(enumeration._propagated_rows(list(rows), len(rows), n, quandle))
+        prefixes, _ = _visited(monkeypatch, n, quandle)
+        assert len(prefixes) > 20
+        forced = clashes = 0
+        for rows in prefixes:
+            got = enumeration._propagated_rows(list(rows), len(rows), n, quandle)
             assert got == oracles.filtered_rows(rows, n, quandle), rows
+            rivals = oracles.forced_rows(rows)
+            forced += bool(rivals)
+            if len(rivals) > 1:
+                # Two placed pairs force different rows: they clash.
+                assert got == [], rows
+                clashes += 1
+        assert forced > 20 and clashes > 0
 
     @pytest.mark.parametrize("n, quandle", ((5, False), (6, True)))
     def test_prefix_test_matches_the_sweep(self, monkeypatch, n, quandle):
