@@ -143,8 +143,8 @@ def _build_affine(args):
     return constructors.affine(constructors.AffineSpec(tuple(moduli), tuple(map(tuple, alpha))))
 
 
-def _parse_cycle_notation(degree: int, text: str) -> tuple[int, ...]:
-    """Parse 1-based cycle notation like "(1 2)(3 4)" into an image tuple.
+def _parse_cycle_notation(degree: int, text: str) -> list[list[int]]:
+    """Parse 1-based cycle notation like "(1 2)(3 4)" into 0-based cycles.
 
     Points are ASCII digits separated by spaces, tabs or commas; each one
     sits inside a pair of parentheses and appears at most once.
@@ -180,12 +180,15 @@ def _parse_cycle_notation(degree: int, text: str) -> tuple[int, ...]:
             raise ValueError(f"point {p} appears more than once in cycle notation {text!r}")
         seen.add(p)
     constructors.check_class_size(degree, map(len, cycles))
-    return from_cycles(degree, [[p - 1 for p in cyc] for cyc in cycles])
+    return [[p - 1 for p in cyc] for cyc in cycles]
 
 
 def _build_conj(args):
-    rep = _parse_cycle_notation(args.degree, args.rep)
-    return constructors.conjugation_class_quandle(args.degree, rep)
+    cycles = _parse_cycle_notation(args.degree, args.rep)
+    if all(len(cyc) <= 1 for cyc in cycles):
+        # A rep that moves no point is its own class, at any degree.
+        return constructors.trivial(1)
+    return constructors.conjugation_class_quandle(args.degree, from_cycles(args.degree, cycles))
 
 
 @cache

@@ -12,7 +12,7 @@ so values can be shared freely across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -43,32 +43,6 @@ class R2Violation(TableValidationError):
 
 
 @dataclass(frozen=True)
-class TableAnalysis:
-    """Per-table facts read by the inner-group functions.
-
-    ``orbits`` are the orbits of the carrier under the inner group, sorted
-    by minimum; ``patterns[x]`` is the cycle profile of the translation by
-    x, counted on first read.  Translations in one orbit are conjugate,
-    r_{r_a(x)} = r_a r_x r_a⁻¹, so all members of an orbit share one
-    profile object, counted once on the orbit's minimum.
-    """
-
-    orbits: tuple[frozenset[int], ...]
-    rows: tuple[tuple[int, ...], ...] = field(repr=False)
-
-    @cached_property
-    def patterns(self) -> tuple[CycleProfile, ...]:
-        if len(self.orbits) == 1:
-            return (pattern(self.rows[0]),) * len(self.rows)
-        patterns: list = [None] * len(self.rows)
-        for orbit in self.orbits:
-            profile = pattern(self.rows[min(orbit)])
-            for x in orbit:
-                patterns[x] = profile
-        return tuple(patterns)
-
-
-@dataclass(frozen=True)
 class RackTable:
     """An n-by-n operation table; the single source of truth for a rack.
 
@@ -81,14 +55,14 @@ class RackTable:
     rows: tuple[tuple[int, ...], ...]
 
     @cached_property
-    def analysis(self) -> TableAnalysis:
-        """Orbits, built on first use and kept on the table.
+    def orbits(self) -> tuple[frozenset[int], ...]:
+        """Orbits of the carrier under the inner group, sorted by minimum,
+        built on first use and kept on the table.
 
         The orbits come from forward closure under all translations; the
         neighbours of a point y are the entries of column y, read only for
         the points reached, and an orbit stops growing once it holds every
-        point not yet placed.  Cycles are counted only when a profile is
-        read, once per orbit, not per row.
+        point not yet placed.
         """
         rows = self.rows
         placed: set = set()
@@ -107,7 +81,23 @@ class RackTable:
             left -= len(comp)
             placed |= comp
             orbits.append(frozenset(comp))
-        return TableAnalysis(tuple(orbits), rows)
+        return tuple(orbits)
+
+    @cached_property
+    def patterns(self) -> tuple[CycleProfile, ...]:
+        """``patterns[x]`` is the cycle profile of the translation by x,
+        counted on first read.  Translations in one orbit are conjugate,
+        r_{r_a(x)} = r_a r_x r_a⁻¹, so all members of an orbit share one
+        profile object, counted once on the orbit's minimum.
+        """
+        if len(self.orbits) == 1:
+            return (pattern(self.rows[0]),) * self.n
+        patterns: list = [None] * self.n
+        for orbit in self.orbits:
+            profile = pattern(self.rows[min(orbit)])
+            for x in orbit:
+                patterns[x] = profile
+        return tuple(patterns)
 
 
 @dataclass(frozen=True)

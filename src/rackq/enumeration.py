@@ -36,7 +36,7 @@ from typing import Callable, Iterator
 from .core import RackTable, is_braided, is_crossed_set, validate
 from .errors import RackError
 from .inner import is_indecomposable, rack_profile
-from .perm import inverse, is_permutation
+from .perm import cycle_decomposition, inverse, is_permutation
 
 MAX_ORDER = 7
 
@@ -221,20 +221,13 @@ def _labelling(row, q: int, k: int):
     """
     if k and max(row[:k]) >= k:
         return None
-    seen = [False] * len(row)
     found = []
-    for start in chain((q,), range(len(row))):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = row[start]
-        while x != start:
-            seen[x] = True
-            cyc.append(x)
-            x = row[x]
+    for cyc in cycle_decomposition(row):
+        if q in cyc:
+            i = cyc.index(q)
+            cyc = cyc[i:] + cyc[:i]
         # Sort by block ({0..k-1}, q's cycle, the rest), then by length.
-        found.append((1 if start == q else 0 if start < k else 2, len(cyc), cyc))
+        found.append((1 if cyc[0] == q else 0 if cyc[0] < k else 2, len(cyc), cyc))
     found.sort()
     sinv = tuple(chain.from_iterable(cyc for _, _, cyc in found))
     return _cycles_row(tuple(length for _, length, _ in found)), itemgetter(*inverse(sinv)), sinv
@@ -247,12 +240,9 @@ def _centralizer(row: tuple[int, ...], k: int) -> tuple:
     the cycles of equal length inside {0..k-1} and inside the rest,
     rotating each.  Bounded, as closed forms are."""
     groups: dict = {}
-    a = 0
-    while a < len(row):
-        b = row.index(a) + 1
-        if a != k:
-            groups.setdefault((a > k, b - a), []).append(range(a, b))
-        a = b
+    for cyc in cycle_decomposition(row):
+        if cyc[0] != k:
+            groups.setdefault((cyc[0] > k, len(cyc)), []).append(cyc)
     choices = [
         [tuple(zip(cycles, arranged, turns))
          for arranged in permutations(cycles)
@@ -263,7 +253,7 @@ def _centralizer(row: tuple[int, ...], k: int) -> tuple:
     for pick in product(*choices):
         g = list(range(len(row)))
         for src, dst, t in chain.from_iterable(pick):
-            g[src.start:src.stop] = [*dst[t:], *dst[:t]]
+            g[src[0]:src[-1] + 1] = dst[t:] + dst[:t]
         pairs.append((tuple(g), inverse(g)))
     return tuple(pairs)
 

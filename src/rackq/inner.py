@@ -5,8 +5,8 @@ every translation has finite order, its inverse is a positive power of it,
 so orbit computations close under the generators alone.  Translations in
 one orbit are conjugate, r_{r_a(x)} = r_a r_x r_a⁻¹, so they share a cycle
 type; that is what gives an indecomposable rack its profile.  Every function
-here reads the table's :attr:`~rackq.core.RackTable.analysis`, which is
-computed once per table.
+here reads the table's :attr:`~rackq.core.RackTable.orbits` and
+:attr:`~rackq.core.RackTable.patterns`, which are computed once per table.
 """
 from __future__ import annotations
 
@@ -25,12 +25,12 @@ class NotIndecomposable(RackError):
 
 def orbit_partition(r: RackTable) -> tuple[frozenset[int], ...]:
     """Orbits of the carrier under the inner group, sorted by minimum."""
-    return r.analysis.orbits
+    return r.orbits
 
 
 def is_indecomposable(r: RackTable) -> bool:
     """True if the inner group acts transitively on the carrier."""
-    return len(r.analysis.orbits) == 1
+    return len(r.orbits) == 1
 
 
 def per_point_patterns(r: RackTable) -> tuple[tuple[int, CycleProfile], ...]:
@@ -38,7 +38,7 @@ def per_point_patterns(r: RackTable) -> tuple[tuple[int, CycleProfile], ...]:
 
     The members of an orbit share one profile object.
     """
-    return tuple(enumerate(r.analysis.patterns))
+    return tuple(enumerate(r.patterns))
 
 
 def rack_profile(r: RackTable) -> CycleProfile:
@@ -53,14 +53,14 @@ def rack_profile(r: RackTable) -> CycleProfile:
             "rack is decomposable, so it has no single profile; "
             "use per_point_patterns for the pattern of every translation"
         )
-    return r.analysis.patterns[0]
+    return r.patterns[0]
 
 
 def degree(r: RackTable) -> int:
     """Order of any translation of an indecomposable rack."""
     if not is_indecomposable(r):
         raise NotIndecomposable("degree is only defined for indecomposable racks")
-    return math.lcm(*r.analysis.patterns[0].moving_lengths())
+    return math.lcm(*r.patterns[0].moving_lengths())
 
 
 def hayashi_holds_for(r: RackTable) -> bool:
@@ -70,7 +70,7 @@ def hayashi_holds_for(r: RackTable) -> bool:
 
 def classify(r: RackTable) -> ClassFlags:
     """Evaluate every classification predicate on one table."""
-    profiles = set(r.analysis.patterns)
+    profiles = set(r.patterns)
     return ClassFlags(
         is_quandle=is_quandle(r),
         is_crossed_set=is_crossed_set(r),

@@ -271,6 +271,20 @@ def least_conjugates(n, require_quandle):
     return [f for f in least if not require_quandle or f[0] == 0]
 
 
+def least_labelling(row, q, k):
+    """The closed form of ``enumeration._labelling`` by brute force: the
+    least s·row·s⁻¹ over the s that map {0..k-1} onto itself with
+    s(q) = k, or None if row maps {0..k-1} off itself."""
+    n = len(row)
+    if any(row[x] >= k for x in range(k)):
+        return None
+    return min(
+        tuple(s[row[sinv[y]]] for y in range(n))
+        for s, sinv in _perm_inverse_pairs(n)
+        if s[q] == k and all(v < k for v in s[:k])
+    )
+
+
 def _compare_relabeled(rows, s, sinv, other, n: int) -> int:
     """Sign of the relabeling of ``rows`` by s against ``other``.
 
@@ -520,9 +534,9 @@ def parse_table_per_token(text):
 
 
 def table_analysis_per_row(rt):
-    """The orbits and per-point profiles of ``RackTable.analysis`` as first
-    built: every column is read up front, and the profile of every row is
-    counted on its own."""
+    """``RackTable.orbits`` and ``RackTable.patterns`` as first built:
+    every column is read up front, and the profile of every row is counted
+    on its own."""
     cols = tuple(map(frozenset, zip(*rt.rows)))
     unseen = set(range(rt.n))
     orbits = []

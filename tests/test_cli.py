@@ -110,6 +110,13 @@ class TestMake:
         code, out, err = run(capsys, "make", "conj", "--degree", degree, "--rep", "(1 2)")
         assert (code, out, err) == (1, "", "conjugacy class exceeds 10000 elements\n")
 
+    @pytest.mark.parametrize("degree", ["5", "1000000000", "1" + "0" * 30])
+    @pytest.mark.parametrize("rep", ["()", "(1)(2)"])
+    def test_conj_identity_is_its_own_class_at_any_degree(self, capsys, degree, rep):
+        # Nothing of length degree is built for a rep that moves no point.
+        code, out, err = run(capsys, "make", "conj", "--degree", degree, "--rep", rep)
+        assert (code, out, err) == (0, "1\n1\n", "")
+
 
 class TestProfilePipeline:
     def test_dihedral9_profile(self, capsys, monkeypatch):

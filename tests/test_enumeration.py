@@ -411,6 +411,28 @@ class TestSearchAgainstSlowPaths:
                 assert result == swept, rows
         assert leaves > 50
 
+    def test_labelling_is_the_least_conjugate(self):
+        nones = 0
+        for n in range(1, 6):
+            identity = tuple(range(n))
+            for row in permutations(range(n)):
+                for k in range(n):
+                    for q in range(k, n):
+                        label = enumeration._labelling(row, q, k)
+                        least = oracles.least_labelling(row, q, k)
+                        if least is None:
+                            assert label is None, (row, q, k)
+                            nones += 1
+                            continue
+                        cf, sq_get, sqinv = label
+                        s = rq.inverse(sqinv)
+                        # itemgetter of one index returns the entry itself
+                        assert sq_get(identity) == (s if n > 1 else s[0])
+                        assert cf == least, (row, q, k)
+                        assert s[q] == k and sorted(s[:k]) == list(range(k))
+                        assert tuple(s[row[sqinv[y]]] for y in range(n)) == cf
+        assert nones > 0
+
 
 class TestWorkerClamp:
     """The pool size never exceeds the jobs or the CPUs.  The pool is

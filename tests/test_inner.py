@@ -60,7 +60,7 @@ class TestRackProfile:
     def test_dihedral9(self):
         rt = dihedral(9)
         assert str(rack_profile(rt)) == "1^1 2^4"
-        # One profile object per orbit, kept on the table's analysis.
+        # One profile object per orbit, kept on the table.
         assert rack_profile(rt) is rack_profile(rt) is per_point_patterns(rt)[0][1]
 
     def test_cyclic5(self):
@@ -211,7 +211,7 @@ class TestTableAnalysis:
         fresh = dihedral(5)
         assert rt == fresh and hash(rt) == hash(fresh)
         restored = pickle.loads(pickle.dumps(rt))
-        assert restored == rt and restored.analysis == rt.analysis
+        assert restored == rt and (restored.orbits, restored.patterns) == (rt.orbits, rt.patterns)
 
     def test_matches_per_row_computation(self, family_tables, rack_reps):
         tables = list(family_tables.values())
@@ -230,8 +230,7 @@ class TestTableAnalysis:
         for n in range(1, 6):
             tables.extend(rack_reps[n])
         for rt in tables:
-            analysis = rt.analysis
-            assert (analysis.orbits, analysis.patterns) == oracles.table_analysis_per_row(rt)
+            assert (rt.orbits, rt.patterns) == oracles.table_analysis_per_row(rt)
 
     def test_matches_per_row_oracle_on_many_orbits(self):
         # Disjoint unions of small racks, and a trivial rack: one orbit per
@@ -246,6 +245,5 @@ class TestTableAnalysis:
                 for x in range(c * k, c * k + k)
             ]
             rt = rq.validate(n, rows)
-            analysis = rt.analysis
-            assert len(analysis.orbits) == copies
-            assert (analysis.orbits, analysis.patterns) == oracles.table_analysis_per_row(rt)
+            assert len(rt.orbits) == copies
+            assert (rt.orbits, rt.patterns) == oracles.table_analysis_per_row(rt)
