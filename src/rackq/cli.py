@@ -20,7 +20,7 @@ from .enumeration import EnumerationFilter, census
 from .errors import RackError
 from .inner import classify, per_point_patterns, rack_profile
 from .core import subrack_closure
-from .obstructions import full_verdict, hayashi_check, parse_profile
+from .obstructions import SCOPE_RACKS, SCOPES, full_verdict, hayashi_check, parse_profile
 from .perm import from_cycles
 from .tableio import emit_report, emit_table, load_table, report_object
 
@@ -219,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True, help='profile string, e.g. "1^2.6.10.15"')
     p.add_argument(
         "--scope",
-        choices=("racks", "crossed-sets"),
-        default="racks",
-        help="which structures the verdict should cover (default: racks)",
+        choices=SCOPES,
+        default=SCOPE_RACKS,
+        help="which structures the verdict should cover (default: %(default)s)",
     )
     p.set_defaults(func=_cmd_obstruct)
 

@@ -252,12 +252,10 @@ def _saturate(rows, members: set[int], fresh: list[int]) -> None:
 
 
 def is_subrack(r: RackTable, points) -> bool:
-    """True if ``points`` is non-empty and closed under the operation."""
+    """True if ``points`` is non-empty and closed under the operation;
+    points outside the carrier raise ``ValueError``."""
     pts = frozenset(points)
-    if not pts:
-        return False
-    rows = r.rows
-    return all(rows[a][b] in pts for a in pts for b in pts)
+    return bool(pts) and subrack_closure(r, pts) == pts
 
 
 def fixed_set(r: RackTable, x: int, t: int) -> frozenset[int]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import accumulate, chain, permutations, product
 from math import factorial
 from operator import itemgetter
 from typing import Callable, Iterator
@@ -36,7 +36,7 @@ from typing import Callable, Iterator
 from .core import RackTable, is_braided, is_crossed_set, validate
 from .errors import RackError
 from .inner import is_indecomposable, rack_profile
-from .perm import cycle_decomposition, inverse, is_permutation
+from .perm import cycle_decomposition, from_cycles, inverse, is_permutation
 
 MAX_ORDER = 7
 
@@ -179,12 +179,8 @@ def _cycles_row(lengths: tuple[int, ...]) -> tuple[int, ...]:
     """The closed form whose cycles run over consecutive labels
     (a a+1 … a+l-1), with the given lengths in order.  Bounded by the
     ordered cycle types of up to ``MAX_ORDER`` points."""
-    row: list = []
-    for length in lengths:
-        a = len(row)
-        row += range(a + 1, a + length)
-        row.append(a)
-    return tuple(row)
+    starts = accumulate(lengths, initial=0)
+    return from_cycles(sum(lengths), [range(a, a + length) for a, length in zip(starts, lengths)])
 
 
 def _partitions(total: int, largest: int):

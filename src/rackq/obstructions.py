@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import RackError
-from .perm import CycleProfile
+from .perm import MAX_LENGTH, CycleProfile
 
 SCOPE_RACKS = "racks"
 SCOPE_CROSSED_SETS = "crossed-sets"
@@ -50,6 +50,10 @@ class NonPositive(ProfileError):
     pass
 
 
+class LengthTooLarge(ProfileError, ValueError):
+    """A length above ``MAX_LENGTH``; a ``ValueError``, as in ``CycleProfile``."""
+
+
 _TERM = re.compile(r"([0-9]+)(?:\^([0-9]+))?\Z")
 
 
@@ -76,6 +80,8 @@ def parse_profile(text: str) -> CycleProfile:
             ) from None
         if length < 1 or mult < 1:
             raise NonPositive(f"lengths and multiplicities must be >= 1: {term!r}")
+        if length > MAX_LENGTH:
+            raise LengthTooLarge(f"term {k}: lengths are capped at 2^32")
         if length in by_length:
             if length == 1:
                 raise DuplicateLength("more than one length-1 term")

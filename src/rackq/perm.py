@@ -75,24 +75,8 @@ def cycle_decomposition(p: Perm) -> list[tuple[int, ...]]:
 
 
 def cycle_lengths(p: Perm) -> list[int]:
-    """Cycle lengths of ``p`` in order of the cycles' minimal elements.
-
-    Cheaper than :func:`cycle_decomposition` when only the lengths matter.
-    """
-    seen = bytearray(len(p))
-    lengths = []
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        k = 1
-        nxt = p[start]
-        while nxt != start:
-            seen[nxt] = 1
-            k += 1
-            nxt = p[nxt]
-        lengths.append(k)
-    return lengths
+    """Cycle lengths of ``p`` in order of the cycles' minimal elements."""
+    return [len(c) for c in cycle_decomposition(p)]
 
 
 @dataclass(frozen=True)

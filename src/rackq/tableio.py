@@ -135,7 +135,9 @@ def load_table(text: str) -> RackTable:
 def emit_table(table, name: str | None = None, source: str | None = None) -> str:
     """Render a table (RackTable or TableDocument) in the file format.
 
-    The output round-trips exactly through :func:`parse_table`.
+    ``name`` and ``source`` are written stripped, and left out when
+    nothing is left; one that spans lines raises ``ValueError``.  The
+    output round-trips exactly through :func:`parse_table`.
     """
     if isinstance(table, TableDocument):
         doc = table
@@ -147,10 +149,12 @@ def emit_table(table, name: str | None = None, source: str | None = None) -> str
         n = table.n
         rows = tuple(tuple(v + 1 for v in row) for row in table.rows)
     lines = []
-    if name:
-        lines.append(f"# name: {name}")
-    if source:
-        lines.append(f"# source: {source}")
+    for key, value in (("name", name), ("source", source)):
+        value = (value or "").strip()
+        if len(value.splitlines()) > 1:
+            raise ValueError(f"table {key} must fit on one line, got {value!r}")
+        if value:
+            lines.append(f"# {key}: {value}")
     lines.append(str(n))
     lines.extend(" ".join(str(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"

@@ -552,3 +552,43 @@ def table_analysis_per_row(rt):
         unseen -= comp
     patterns = tuple(rq.perm.pattern(row) for row in rt.rows)
     return tuple(orbits), patterns
+
+
+def cycle_lengths_walk(p):
+    """``rackq.perm.cycle_lengths`` as first built: its own cycle walk,
+    counting lengths without listing the cycles."""
+    seen = bytearray(len(p))
+    lengths = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        k = 1
+        nxt = p[start]
+        while nxt != start:
+            seen[nxt] = 1
+            k += 1
+            nxt = p[nxt]
+        lengths.append(k)
+    return lengths
+
+
+def is_subrack_pairs(r, points):
+    """``rackq.is_subrack`` as first built: every pair of points is
+    combined.  Negative points index rows from the end."""
+    pts = frozenset(points)
+    if not pts:
+        return False
+    rows = r.rows
+    return all(rows[a][b] in pts for a in pts for b in pts)
+
+
+def cycles_row_builder(lengths):
+    """``rackq.enumeration._cycles_row`` as first built: each cycle
+    (a a+1 … a+l-1) appended to the row in turn."""
+    row: list = []
+    for length in lengths:
+        a = len(row)
+        row += range(a + 1, a + length)
+        row.append(a)
+    return tuple(row)

@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -12,6 +14,8 @@ from hypothesis import example, given, strategies as st
 import rackq as rq
 from rackq import cli
 from rackq.cli import main
+
+from strategies import TABLE_TEXTS
 
 
 def run(capsys, *argv):
@@ -388,8 +392,11 @@ _PIECES = st.one_of(
 )
 
 
+_TEXTS = st.lists(_PIECES, max_size=4).map("".join)
+
+
 class TestParserFuzz:
-    @given(text=st.lists(_PIECES, max_size=4).map("".join), degree=st.integers(-1, 9))
+    @given(text=_TEXTS, degree=st.integers(-1, 9))
     @example(text="9" * 5000, degree=3)
     @example(text="1 2^" + "9" * 5000, degree=3)
     @example(text=f"({'9' * 5000})", degree=3)
@@ -401,3 +408,64 @@ class TestParserFuzz:
                 parse(text)
             except (ValueError, rq.RackError) as exc:
                 assert "Exceeds the limit" not in str(exc)
+
+
+_JUNK = st.sampled_from(("", "x", "+3", "\u0661", "3.0", "9" * 5000))
+_PROFILE = st.sampled_from(("1^2 6 10 15", "2 3", "1^1 2^2", "6.10.15", "2 4294967297")) | _TEXTS
+_SEED = st.sampled_from(("1", "1,2", "0", "3 1")) | _JUNK
+_SCOPE = st.sampled_from(rq.obstructions.SCOPES) | _JUNK
+# Cycle notation whose classes stay small at degree <= 9 (at most 378 members).
+_REP = st.lists(
+    st.sampled_from(("(1 2)", "(3 4)", "(2 3 5)", "(9)", "(1 1)", "(10)", "(", ")", " ", "x")),
+    max_size=2,
+).map("".join)
+_READS_TABLE = st.sampled_from(
+    (["check", "-"], ["profile", "-"], ["profile", "-", "--per-point"], ["hayashi", "-"])
+)
+# (argv, stdin) pairs over every subcommand that reads text.
+_INVOCATIONS = st.one_of(
+    st.tuples(_READS_TABLE, TABLE_TEXTS),
+    st.tuples(st.builds(lambda seed: ["closure", "-", "--seed", seed], _SEED), TABLE_TEXTS),
+    st.tuples(
+        st.builds(
+            lambda pf, scope: ["obstruct", "--profile", pf, "--scope", scope], _PROFILE, _SCOPE
+        ),
+        st.just(""),
+    ),
+    st.tuples(st.builds(lambda pf: ["hayashi", "--profile", pf], _PROFILE), st.just("")),
+    st.tuples(
+        st.builds(
+            lambda order, flags: ["enumerate", "--order", order, *flags],
+            st.integers(-1, 4).map(str) | _JUNK,
+            st.sampled_from(([], ["--quandle"], ["--indecomposable"])),
+        ),
+        st.just(""),
+    ),
+    st.tuples(
+        st.builds(
+            lambda degree, rep: ["make", "conj", "--degree", degree, "--rep", rep],
+            st.integers(-1, 9).map(str) | _JUNK,
+            _REP,
+        ),
+        st.just(""),
+    ),
+)
+
+
+class TestMainFuzz:
+    @given(_INVOCATIONS)
+    @example((["check", "-"], "# name: d3\n3\n1 3 2\n3 2 1\n2 1 3\n"))
+    @example((["closure", "-", "--seed", "1"], "2\n2 1\n2 1\n"))
+    @example((["obstruct", "--profile", "1^2 6 10 15", "--scope", "crossed-sets"], ""))
+    @example((["obstruct", "--profile", "2 4294967297"], ""))
+    @example((["make", "conj", "--degree", "9", "--rep", "(1 2)(3 4)"], ""))
+    def test_main_exits_0_1_or_2(self, invocation):
+        argv, stdin = invocation
+        with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \
+                redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                return
+        assert code in (0, 1), argv

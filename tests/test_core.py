@@ -272,6 +272,19 @@ class TestIsSubrack:
     def test_non_closed_pair(self):
         assert not is_subrack(dihedral(5), {0, 1})
 
+    def test_matches_pair_scan_on_every_subset(self, rack_reps):
+        for n in range(1, 5):
+            for rt in rack_reps[n]:
+                for mask in range(1 << n):
+                    subset = {x for x in range(n) if mask >> x & 1}
+                    want = oracles.is_subrack_pairs(rt, subset)
+                    assert is_subrack(rt, subset) == want, (rt.rows, subset)
+
+    def test_points_outside_the_carrier_raise(self):
+        for points in ({-1, 0, 1, 2}, {3}):
+            with pytest.raises(ValueError, match="0..2"):
+                is_subrack(dihedral(3), points)
+
 
 class TestFixedSet:
     def test_full_order_fixes_everything(self):

@@ -351,6 +351,19 @@ class TestOrderlySearch:
                                 assert all(g[row[x]] == row[g[x]] for x in range(n))
                                 assert g[k] == k and sorted(g[:k]) == list(range(k))
 
+    def test_cycles_row_matches_the_row_builder(self):
+        def compositions(n):
+            if not n:
+                yield ()
+            for first in range(1, n + 1):
+                for rest in compositions(n - first):
+                    yield (first, *rest)
+
+        for n in range(8):
+            for lengths in compositions(n):
+                want = oracles.cycles_row_builder(lengths)
+                assert enumeration._cycles_row(lengths) == want, lengths
+
 
 def _visited(monkeypatch, n, quandle):
     """Run one census, recording each prefix whose next row's candidates

@@ -8,6 +8,7 @@ import rackq as rq
 from rackq import (
     CycleProfile,
     DuplicateLength,
+    LengthTooLarge,
     NonPositive,
     ProfileSyntaxError,
     cor34_verdict,
@@ -18,6 +19,8 @@ from rackq import (
     prop35_verdict,
     prop315_verdict,
 )
+
+from rackq.obstructions import ProfileError
 
 import oracles
 
@@ -86,6 +89,11 @@ class TestProfileType:
         assert parse_profile(f"2 {2**32}").moving_lengths() == (2, 2**32)
         with pytest.raises(ValueError, match="capped at 2\\^32"):
             parse_profile(f"2 {2**32 + 1}")
+
+    def test_over_cap_length_is_a_profile_error_naming_its_term(self):
+        with pytest.raises(LengthTooLarge, match="term 3: lengths are capped at 2\\^32") as info:
+            parse_profile(f"1^2 2 {2**32 + 1}^2")
+        assert isinstance(info.value, ProfileError) and isinstance(info.value, ValueError)
 
     def test_parsed_and_table_profiles_are_one_type(self):
         table_profile = rq.pattern((0, 4, 3, 2, 1))

@@ -1,4 +1,5 @@
 import doctest
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,8 @@ from rackq.perm import (
     power,
     support,
 )
+
+import oracles
 
 DIHEDRAL5_PHI0 = (0, 4, 3, 2, 1)  # y -> -y mod 5
 
@@ -64,6 +67,21 @@ class TestCycleDecomposition:
     @given(perms())
     def test_round_trip(self, p):
         assert from_cycles(len(p), cycle_decomposition(p)) == p
+
+
+class TestCycleLengths:
+    """The lengths read off ``cycle_decomposition`` against the cycle walk
+    they replaced."""
+
+    def test_every_permutation_up_to_six_points(self):
+        for n in range(7):
+            for p in permutations(range(n)):
+                assert perm.cycle_lengths(p) == oracles.cycle_lengths_walk(p), p
+
+    def test_every_row_of_the_family_tables(self, family_tables):
+        for name, rt in family_tables.items():
+            for row in rt.rows:
+                assert perm.cycle_lengths(row) == oracles.cycle_lengths_walk(row), name
 
 
 class TestPattern:

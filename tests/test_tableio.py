@@ -1,13 +1,16 @@
 import json
+from dataclasses import replace
 from itertools import product
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import rackq as rq
 from rackq import (
     BadDimensions,
     EntryOutOfRange,
     R1Violation,
+    TableParseError,
     TableSyntaxError,
     dihedral,
     emit_report,
@@ -18,6 +21,7 @@ from rackq import (
 )
 
 import oracles
+from strategies import TABLE_TEXTS
 
 DIHEDRAL3_TEXT = "3\n1 3 2\n3 2 1\n2 1 3\n"
 
@@ -172,6 +176,37 @@ class TestEmitTable:
 
     def test_exact_bytes(self):
         assert emit_table(dihedral(3)) == DIHEDRAL3_TEXT
+
+    @given(name=st.none() | st.text(), source=st.none() | st.text())
+    @example(name="x\n5", source=None)
+    @example(name="  spaced  ", source=" ")
+    def test_annotations_round_trip_or_raise(self, family_tables, name, source):
+        stripped = tuple((v or "").strip() for v in (name, source))
+        for key in ("trivial(1)", "dihedral(3)", "conj(S4 3-cycles)"):
+            try:
+                text = emit_table(family_tables[key], name=name, source=source)
+            except ValueError:
+                assert any(len(v.splitlines()) > 1 for v in stripped)
+                continue
+            doc = parse_table(text)
+            assert (doc.name, doc.source) == tuple(v or None for v in stripped)
+            assert emit_table(doc) == text
+
+
+class TestParseTableFuzz:
+    @given(TABLE_TEXTS)
+    @example("#  name:  d3 \r\n# source:\n3\n1 3 2\n3 2 1\n2 1 3")
+    @example("\t1\r\n 01 \n# name:")
+    def test_parse_answers_or_raises_and_documents_round_trip(self, text):
+        try:
+            doc = parse_table(text)
+        except TableParseError:
+            return
+        # An empty annotation is left out when the document is written.
+        doc = replace(doc, name=doc.name or None, source=doc.source or None)
+        emitted = emit_table(doc)
+        assert parse_table(emitted) == doc
+        assert emit_table(parse_table(emitted)) == emitted
 
 
 class TestEmitReport:
