@@ -193,17 +193,15 @@ def _partitions(total: int, largest: int):
             yield (*tail, part)
 
 
-@lru_cache(maxsize=None)
 def _first_rows(n: int, require_quandle: bool) -> tuple[tuple[int, ...], ...]:
     """Row-0 candidates that can start a canonical table, in lex order: one
-    closed form (see ``_labelling``, with k = 0) per partition of n and
-    part holding 0, which must be 1 for quandles."""
-    return tuple(sorted({
-        _cycles_row((lead, *parts[:i], *parts[i + 1:]))
-        for parts in _partitions(n, n)
-        for i, lead in enumerate(parts)
-        if lead == 1 or not require_quandle
-    }))
+    closed form (see ``_labelling``, with k = 0) per part holding 0, which
+    must be 1 for quandles, and partition of the other points."""
+    return tuple(sorted(
+        _cycles_row((lead, *parts))
+        for lead in range(1, 2 if require_quandle else n + 1)
+        for parts in _partitions(n - lead, n - lead)
+    ))
 
 
 def _labelling(row, q: int, k: int):
@@ -298,33 +296,6 @@ def _prefix_automorphisms(rows, n: int, labels: list) -> int:
     return count
 
 
-def _orderly_tables(
-    n: int, require_quandle: bool, first_rows: tuple[tuple[int, ...], ...]
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], int]]:
-    """Yield (rows, |Aut|) for every canonical labelled table, in lex order.
-    Each row's labelling is computed once, when the row is placed."""
-    identity = tuple(range(n))
-    rows: list = []
-    labels: list = []
-
-    def extend(r: int):
-        for cand in _propagated_rows(rows, r, n, require_quandle) if r else first_rows:
-            rows.append(cand)
-            labelled = bool(labels) or cand != identity
-            if labelled:
-                labels.append(_labelling(cand, r, r - len(labels)))
-            fixing = _prefix_automorphisms(rows, n, labels)
-            if fixing and r == n - 1:
-                yield tuple(rows), fixing
-            elif fixing:
-                yield from extend(r + 1)
-            if labelled:
-                labels.pop()
-            rows.pop()
-
-    yield from extend(0)
-
-
 def _passes(rt: RackTable, filt: EnumerationFilter) -> bool:
     if filt.require_crossed_set and not is_crossed_set(rt):
         return False
@@ -338,29 +309,40 @@ def _passes(rt: RackTable, filt: EnumerationFilter) -> bool:
 def _representatives(
     n: int, filt: EnumerationFilter, first_rows: tuple[tuple[int, ...], ...]
 ) -> Iterator[tuple[RackTable, int]]:
-    for rows, automorphisms in _orderly_tables(n, filt.require_quandle, first_rows):
-        rt = RackTable(n, rows)
-        if _passes(rt, filt):
-            yield rt, automorphisms
+    """Yield (T, |Aut(T)|) for every canonical table T that passes the
+    filters, in lex order.  Each row's labelling is computed once, when the
+    row is placed."""
+    identity = tuple(range(n))
+    rows: list = []
+    labels: list = []
+
+    def extend(r: int):
+        for cand in _propagated_rows(rows, r, n, filt.require_quandle) if r else first_rows:
+            rows.append(cand)
+            labelled = bool(labels) or cand != identity
+            if labelled:
+                labels.append(_labelling(cand, r, r - len(labels)))
+            fixing = _prefix_automorphisms(rows, n, labels)
+            if fixing and r == n - 1:
+                rt = RackTable(n, tuple(rows))
+                if _passes(rt, filt):
+                    yield rt, fixing
+            elif fixing:
+                yield from extend(r + 1)
+            if labelled:
+                labels.pop()
+            rows.pop()
+
+    yield from extend(0)
 
 
-def _search(n: int, filt: EnumerationFilter, workers: int | None):
-    if workers and workers > 1:
-        return chain.from_iterable(_parallel_batches(n, filt, workers))
-    return _representatives(n, filt, _first_rows(n, filt.require_quandle))
-
-
-def enumerate_racks(
-    n: int, filt: EnumerationFilter | None = None, workers: int | None = None
-) -> Iterator[RackTable]:
-    """Stream the canonical representatives of order n, lex-ordered.
-
-    ``workers`` > 1 splits the search by the choice of the first row and
-    runs the subtrees in separate processes; results are merged in
-    candidate order, which preserves the deterministic stream.
-    """
+def enumerate_racks(n: int, filt: EnumerationFilter | None = None) -> Iterator[RackTable]:
+    """Stream the canonical representatives of order n, lex-ordered, in
+    this process; ``census(..., workers=k)`` runs the same search in a
+    pool."""
     _guard(n)
-    for rt, _ in _search(n, filt or EnumerationFilter(), workers):
+    filt = filt or EnumerationFilter()
+    for rt, _ in _representatives(n, filt, _first_rows(n, filt.require_quandle)):
         yield rt
 
 
@@ -377,12 +359,18 @@ def census(
     filters, as the sum of n!/|Aut(T)| over the representatives T (the
     orbit of T under relabeling has that size) rather than one by one.
     ``sink``, when given, receives each canonical representative.
+    ``workers`` > 1 runs each first row's subtree in a process pool and
+    merges them in order, so ``sink`` sees the sequential stream.
     """
     _guard(n)
     filt = filt or EnumerationFilter()
     report = CensusReport(order=n, filters=filt, total_up_to_iso=0, total_labelled=0)
     n_factorial = factorial(n)
-    for rt, automorphisms in _search(n, filt, workers):
+    if workers and workers > 1:
+        found = chain.from_iterable(_parallel_batches(n, filt, workers))
+    else:
+        found = _representatives(n, filt, _first_rows(n, filt.require_quandle))
+    for rt, automorphisms in found:
         report.total_labelled += n_factorial // automorphisms
         report.total_up_to_iso += 1
         if is_indecomposable(rt):

@@ -290,9 +290,10 @@ def prop315_verdict(pf: CycleProfile) -> ObstructionVerdict:
     multiplicity one.  With l1 < l2 < l3, the profile is excluded for
     crossed sets when no length divides a later one but every length
     divides the lcm of the other two.  When mutual non-division holds but
-    some length fails the lcm condition, the contiguous-split rule already
-    excludes the profile for all racks, so that verdict is returned
-    instead.
+    some length fails the lcm condition, the contiguous-split verdict is
+    returned instead; it can be ``NotExcluded``, as for ``10 12 15``,
+    which only the bipartition rule excludes.  ``full_verdict`` reaches
+    this branch only after both of those rules have passed.
     """
     lengths = pf.moving_lengths()
     if len(lengths) != 3 or any(m != 1 for m in pf.moving_mults()):

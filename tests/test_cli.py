@@ -56,6 +56,9 @@ class TestMake:
         code, out, err = run(capsys, "make", "affine", "--moduli", "4", "--alpha", "2")
         assert code == 1
         assert "invertible" in err
+        for family in ("trivial", "cyclic", "dihedral"):
+            code, out, err = run(capsys, "make", family, "0")
+            assert (code, out, err) == (1, "", "carrier size must be positive, got 0\n"), family
 
     def test_affine_matrix_must_be_a_homomorphism(self, capsys):
         code, out, err = run(capsys, "make", "affine", "--moduli", "5,2", "--alpha", "3,0;3,7")
@@ -91,6 +94,8 @@ class TestMake:
             "(1 2)3": "point 3 outside parentheses in cycle notation '(1 2)3'",
             "1 2)": "point 1 outside parentheses in cycle notation '1 2)'",
             "(1 2))": "unmatched ')' in cycle notation '(1 2))'",
+            "((1 2))": "nested parenthesis in cycle notation '((1 2))'",
+            "(1 2": "unclosed parenthesis in cycle notation '(1 2'",
             "(1 2)(2 3)": "point 2 appears more than once in cycle notation '(1 2)(2 3)'",
             "(1 3 1)": "point 1 appears more than once in cycle notation '(1 3 1)'",
             f"({'9' * 5000})": f"cycle point outside 1..3 in '({'9' * 5000})'",
@@ -307,10 +312,19 @@ class TestEnumerate:
             rq.enumerate_racks(3, rq.EnumerationFilter(require_quandle=True))
         )
 
-    def test_threads_flag(self, capsys):
+    def test_threads_flag(self, capsys, tmp_path):
         code, out, _ = run(capsys, "enumerate", "--order", "3", "--threads", "2")
         assert code == 0
         assert json.loads(out)["total_up_to_iso"] == 6
+        # The pool writes the same report and files as the sequential run.
+        runs = []
+        for threads in ((), ("--threads", "2")):
+            dump = tmp_path / f"dump{len(runs)}"
+            code, out, err = run(capsys, "enumerate", "--order", "5", "--dump", str(dump), *threads)
+            assert (code, err) == (0, "")
+            runs.append((out, {f.name: f.read_bytes() for f in dump.iterdir()}))
+        assert len(runs[0][1]) == 74
+        assert runs[0] == runs[1]
 
     def test_guard_is_domain_error(self, capsys):
         for order in ("9", "0"):

@@ -1,14 +1,17 @@
-"""The docstring examples of every module run as tests, and the modules
-pass an import lint written with the standard library alone."""
+"""The docstring examples of every module run as tests, the modules pass
+an import lint written with the standard library alone, and the README
+names every public name."""
 import ast
 import doctest
 import importlib
 import pathlib
 import pkgutil
+import re
 
 import rackq
 
 SOURCES = sorted(pathlib.Path(rackq.__file__).parent.glob("*.py"))
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_docstring_examples_pass():
@@ -42,3 +45,9 @@ def test_modules_use_every_name_they_import():
 def test_all_lists_exactly_the_imported_names():
     init = next(path for path in SOURCES if path.name == "__init__.py")
     assert set(rackq.__all__) == _imported_names(ast.parse(init.read_text()))
+
+
+def test_readme_names_every_public_name():
+    text = README.read_text(encoding="utf-8")
+    missing = [name for name in rackq.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert not missing

@@ -232,11 +232,10 @@ class TestStreamContract:
 
     def test_parallel_matches_sequential(self):
         filt = EnumerationFilter(require_quandle=True)
-        seq = list(enumerate_racks(4, filt))
-        par = list(enumerate_racks(4, filt, workers=2))
-        assert seq == par
-        rep_s = census(4, filt)
-        rep_p = census(4, filt, workers=2)
+        seq, par = [], []
+        rep_s = census(4, filt, sink=seq.append)
+        rep_p = census(4, filt, workers=2, sink=par.append)
+        assert len(seq) == 7 and seq == par
         assert (rep_s.total_labelled, rep_s.total_up_to_iso, rep_s.histogram) == (
             rep_p.total_labelled,
             rep_p.total_up_to_iso,

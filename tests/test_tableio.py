@@ -256,3 +256,7 @@ class TestEmitReport:
     def test_orbit_partition_serialization(self):
         payload = json.loads(emit_report(rq.orbit_partition(dihedral(4))))
         assert payload == [[0, 2], [1, 3]]
+
+    def test_unknown_type_is_a_type_error(self):
+        with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+            emit_report(object())
