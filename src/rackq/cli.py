@@ -76,7 +76,7 @@ def _ascii_int(text: str) -> int:
 def _parse_point_list(text: str) -> list[int]:
     tokens = text.replace(",", " ").split()
     if not all(_INTEGER.fullmatch(tok) for tok in tokens):
-        raise ValueError(f"bad point list {text!r}: expected comma-separated integers")
+        raise RackError(f"bad point list {text!r}: expected comma-separated integers")
     return [int(tok) for tok in tokens]
 
 
@@ -84,7 +84,7 @@ def _cmd_closure(args) -> int:
     rt = _load(args.table)
     seed = _parse_point_list(args.seed)
     if any(not 1 <= p <= rt.n for p in seed):
-        raise ValueError(f"seed points must lie in 1..{rt.n}")
+        raise RackError(f"seed points must lie in 1..{rt.n}")
     closed = subrack_closure(rt, {p - 1 for p in seed})
     print(",".join(str(p + 1) for p in sorted(closed)))
     return 0
@@ -98,7 +98,7 @@ def _cmd_obstruct(args) -> int:
 
 def _cmd_hayashi(args) -> int:
     if (args.table is None) == (args.profile is None):
-        raise ValueError("give exactly one of a table file or --profile")
+        raise RackError("give exactly one of a table file or --profile")
     if args.profile is not None:
         pf = parse_profile(args.profile)
     else:
@@ -154,30 +154,30 @@ def _parse_cycle_notation(degree: int, text: str) -> list[list[int]]:
     for digits, ch in re.findall(r"([0-9]+)|(.)", text.strip(), flags=re.DOTALL):
         if digits:
             if current is None:
-                raise ValueError(f"point {digits} outside parentheses in cycle notation {text!r}")
+                raise RackError(f"point {digits} outside parentheses in cycle notation {text!r}")
             # Wider than the degree, it is out of range; int() refuses thousands of digits.
             digits = digits.lstrip("0") or "0"
             current.append(int(digits) if len(digits) <= len(str(degree)) else degree + 1)
         elif ch == "(":
             if current is not None:
-                raise ValueError(f"nested parenthesis in cycle notation {text!r}")
+                raise RackError(f"nested parenthesis in cycle notation {text!r}")
             current = []
         elif ch == ")":
             if current is None:
-                raise ValueError(f"unmatched ')' in cycle notation {text!r}")
+                raise RackError(f"unmatched ')' in cycle notation {text!r}")
             cycles.append(current)
             current = None
         elif ch not in " ,\t":
-            raise ValueError(f"bad character {ch!r} in cycle notation {text!r}")
+            raise RackError(f"bad character {ch!r} in cycle notation {text!r}")
     if current is not None:
-        raise ValueError(f"unclosed parenthesis in cycle notation {text!r}")
+        raise RackError(f"unclosed parenthesis in cycle notation {text!r}")
     points = [p for cyc in cycles for p in cyc]
     if any(not 1 <= p <= degree for p in points):
-        raise ValueError(f"cycle point outside 1..{degree} in {text!r}")
+        raise RackError(f"cycle point outside 1..{degree} in {text!r}")
     seen = set()
     for p in points:
         if p in seen:
-            raise ValueError(f"point {p} appears more than once in cycle notation {text!r}")
+            raise RackError(f"point {p} appears more than once in cycle notation {text!r}")
         seen.add(p)
     constructors.check_class_size(degree, map(len, cycles))
     return [[p - 1 for p in cyc] for cyc in cycles]
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (RackError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 1
 

@@ -13,7 +13,7 @@ from itertools import accumulate
 from operator import itemgetter, mul
 from typing import Iterable
 
-from .core import RackTable
+from .core import RackTable, check_carrier_size
 from .errors import RackError
 from .perm import Perm, checked, compose, cycle_lengths, inverse
 
@@ -28,8 +28,7 @@ class ClassTooLarge(RackError):
 
 def trivial(n: int) -> RackTable:
     """The trivial quandle: every translation is the identity."""
-    if n < 1:
-        raise ValueError(f"carrier size must be positive, got {n}")
+    check_carrier_size(n)
     row = tuple(range(n))
     return RackTable(n, (row,) * n)
 
@@ -40,8 +39,7 @@ def cyclic_rack(n: int) -> RackTable:
     A rack but not a quandle for n >= 2; its translations have no fixed
     point.
     """
-    if n < 1:
-        raise ValueError(f"carrier size must be positive, got {n}")
+    check_carrier_size(n)
     row = tuple((y + 1) % n for y in range(n))
     return RackTable(n, (row,) * n)
 
@@ -51,8 +49,7 @@ def dihedral(n: int) -> RackTable:
 
     This is the affine quandle on Z_n with alpha = -1.
     """
-    if n < 1:
-        raise ValueError(f"carrier size must be positive, got {n}")
+    check_carrier_size(n)
     return affine(AffineSpec((n,), ((-1,),)))
 
 
@@ -62,28 +59,34 @@ class AffineSpec:
 
     ``alpha`` is an m-by-m integer matrix acting on column vectors, the
     i-th output component taken mod ``moduli[i]``.  Entry (i, j) must be
-    a homomorphism Z_{n_j} -> Z_{n_i}, so n_i must divide n_j * entry, or
-    ``ValueError`` is raised.  Elements are enumerated in mixed-radix
-    little-endian order: the first coordinate varies fastest, so index k
-    encodes the tuple ``((k // stride_i) % n_i)`` with ``stride_i`` the
-    product of the earlier moduli.
+    a homomorphism Z_{n_j} -> Z_{n_i}, so n_i must divide n_j * entry, and
+    every entry must be an ``int``, or :class:`RackError` is raised.
+    Elements are enumerated in mixed-radix little-endian order: the first
+    coordinate varies fastest, so index k encodes the tuple
+    ``((k // stride_i) % n_i)`` with ``stride_i`` the product of the
+    earlier moduli.
     """
 
     moduli: tuple[int, ...]
     alpha: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(int(v) for v in self.moduli))
-        object.__setattr__(self, "alpha", tuple(tuple(int(v) for v in row) for row in self.alpha))
+        object.__setattr__(self, "moduli", tuple(self.moduli))
+        object.__setattr__(self, "alpha", tuple(map(tuple, self.alpha)))
+        for i, v in enumerate(self.moduli):
+            if type(v) is not int:
+                raise RackError(f"moduli[{i}] must be an integer, got {v!r}")
         if not self.moduli or any(m < 1 for m in self.moduli):
-            raise ValueError(f"moduli must be positive integers, got {self.moduli!r}")
+            raise RackError(f"moduli must be positive integers, got {self.moduli!r}")
         m = len(self.moduli)
         if len(self.alpha) != m or any(len(row) != m for row in self.alpha):
-            raise ValueError(f"alpha must be a {m}x{m} matrix")
+            raise RackError(f"alpha must be a {m}x{m} matrix")
         for i, (n_i, row) in enumerate(zip(self.moduli, self.alpha)):
             for j, (n_j, a) in enumerate(zip(self.moduli, row)):
+                if type(a) is not int:
+                    raise RackError(f"alpha[{i}][{j}] must be an integer, got {a!r}")
                 if n_j * a % n_i:
-                    raise ValueError(
+                    raise RackError(
                         f"alpha[{i}][{j}]={a} is not a homomorphism from Z_{n_j} to Z_{n_i}:"
                         f" {n_i} does not divide {n_j}*{a}"
                     )
@@ -128,6 +131,7 @@ def affine(spec: AffineSpec) -> RackTable:
     slice per row.
     """
     n, moduli = spec.size, spec.moduli
+    check_carrier_size(n)
     strides = list(accumulate(moduli, mul, initial=1))
     images = _images(moduli, spec.alpha)
     alpha = _indices(images, strides)
@@ -172,7 +176,7 @@ def check_class_size(degree: int, lengths: Iterable[int]) -> None:
     fixed points' 1^m1 m1! cancelled into d!/m1!, so no list of length
     ``degree`` is built."""
     if degree < 1:
-        raise ValueError(f"degree must be positive, got {degree}")
+        raise RackError(f"degree must be positive, got {degree}")
     counts = Counter(length for length in lengths if length > 1)
     z = math.prod(k**m * math.factorial(m) for k, m in counts.items())
     if math.perm(degree, sum(k * m for k, m in counts.items())) // z > CLASS_SIZE_GUARD:
@@ -198,7 +202,7 @@ def conjugation_class_quandle(degree: int, rep: Perm) -> RackTable:
     """
     rep = checked(rep)
     if len(rep) != degree:
-        raise ValueError(f"representative acts on {len(rep)} points, expected {degree}")
+        raise RackError(f"representative acts on {len(rep)} points, expected {degree}")
     check_class_size(degree, cycle_lengths(rep))
     tree = {rep: None}
     order = [rep]

@@ -12,6 +12,7 @@ so values can be shared freely across threads.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -116,6 +117,15 @@ class ClassFlags:
     degree: int
 
 
+def check_carrier_size(n: int) -> None:
+    """Refuse a carrier size below 1, or one too large for any sequence to
+    hold, before anything of that size is built."""
+    if n < 1:
+        raise RackError(f"carrier size must be positive, got {n}")
+    if n > sys.maxsize:
+        raise RackError(f"carrier size must be at most {sys.maxsize}, got {n}")
+
+
 def validate(n: int, raw_table) -> RackTable:
     """Check both rack axioms and wrap the table.
 
@@ -138,11 +148,10 @@ def validate(n: int, raw_table) -> RackTable:
     of many small quandles; trivial and cyclic racks have a single row
     and cost O(n²).
     """
-    if n < 1:
-        raise ValueError(f"carrier size must be positive, got {n}")
+    check_carrier_size(n)
     rows = tuple(tuple(row) for row in raw_table)
     if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValueError(f"expected an {n}x{n} table")
+        raise RackError(f"expected an {n}x{n} table")
     carrier = set(range(n))
     if not all(set(map(type, row)) == {int} and set(row) == carrier for row in rows):
         # Some row is not a permutation of ints: scan entry by entry for the witness.
@@ -226,9 +235,9 @@ def subrack_closure(r: RackTable, seed) -> frozenset[int]:
     """
     members = set(seed)
     if not members:
-        raise ValueError("seed must be non-empty")
+        raise RackError("seed must be non-empty")
     if any(not 0 <= p < r.n for p in members):
-        raise ValueError(f"seed points must lie in 0..{r.n - 1}")
+        raise RackError(f"seed points must lie in 0..{r.n - 1}")
     _saturate(r.rows, members, list(members))
     return frozenset(members)
 
@@ -253,7 +262,7 @@ def _saturate(rows, members: set[int], fresh: list[int]) -> None:
 
 def is_subrack(r: RackTable, points) -> bool:
     """True if ``points`` is non-empty and closed under the operation;
-    points outside the carrier raise ``ValueError``."""
+    points outside the carrier raise :class:`RackError`."""
     pts = frozenset(points)
     return bool(pts) and subrack_closure(r, pts) == pts
 
@@ -261,6 +270,6 @@ def is_subrack(r: RackTable, points) -> bool:
 def fixed_set(r: RackTable, x: int, t: int) -> frozenset[int]:
     """Points fixed by the t-th power of the translation by x."""
     if t < 1:
-        raise ValueError(f"power must be >= 1, got {t}")
+        raise RackError(f"power must be >= 1, got {t}")
     pw = power(inner_map(r, x), t)
     return frozenset(y for y in range(r.n) if pw[y] == y)

@@ -418,9 +418,9 @@ def canonical_form(r: RackTable) -> RackTable:
 
 def relabel(r: RackTable, sigma: tuple[int, ...]) -> RackTable:
     """The table relabeled by sigma: row sigma(x) is sigma·r_x·sigma⁻¹.
-    Raises ``ValueError`` unless sigma permutes the table's points."""
+    Raises :class:`RackError` unless sigma permutes the table's points."""
     if len(sigma) != r.n or not is_permutation(sigma):
-        raise ValueError(f"sigma {sigma} is not a permutation of 0..{r.n - 1}")
+        raise RackError(f"sigma {sigma} is not a permutation of 0..{r.n - 1}")
     inv = inverse(sigma)
     return RackTable(r.n, tuple(tuple(sigma[r.rows[x][y]] for y in inv) for x in inv))
 
@@ -428,5 +428,5 @@ def relabel(r: RackTable, sigma: tuple[int, ...]) -> RackTable:
 def are_isomorphic(a: RackTable, b: RackTable) -> bool:
     """True if some relabeling carries one table onto the other."""
     if a.n != b.n:
-        raise ValueError(f"size mismatch: {a.n} vs {b.n}")
+        raise RackError(f"size mismatch: {a.n} vs {b.n}")
     return canonical_form(a).rows == canonical_form(b).rows

@@ -1,5 +1,5 @@
 """Common base class for the package's domain errors."""
 
 
-class RackError(Exception):
-    """Base class for every domain error raised by this package."""
+class RackError(ValueError):
+    """Base class for every input the package refuses; a ``ValueError``."""

@@ -35,23 +35,7 @@ NOT_APPLICABLE = "NotApplicable"
 
 
 class ProfileError(RackError):
-    """Base class for profile parsing and guard errors."""
-
-
-class ProfileSyntaxError(ProfileError):
-    pass
-
-
-class DuplicateLength(ProfileError):
-    pass
-
-
-class NonPositive(ProfileError):
-    pass
-
-
-class LengthTooLarge(ProfileError, ValueError):
-    """A length above ``MAX_LENGTH``; a ``ValueError``, as in ``CycleProfile``."""
+    """A refused profile string; the message names the bad term, if any."""
 
 
 _TERM = re.compile(r"([0-9]+)(?:\^([0-9]+))?\Z")
@@ -66,26 +50,26 @@ def parse_profile(text: str) -> CycleProfile:
     """
     terms = [t for t in re.split(r"[.\s]+", text.strip()) if t]
     if not terms:
-        raise ProfileSyntaxError("empty profile")
+        raise ProfileError("empty profile")
     by_length: dict[int, int] = {}
     for k, term in enumerate(terms, start=1):
         m = _TERM.match(term)
         if not m:
-            raise ProfileSyntaxError(f"bad profile term {term!r}")
+            raise ProfileError(f"bad profile term {term!r}")
         try:
             length, mult = map(int, m.groups("1"))
         except ValueError:
-            raise ProfileSyntaxError(
+            raise ProfileError(
                 f"term {k} has a numeral of {max(map(len, m.groups('')))} digits, too many to read"
             ) from None
         if length < 1 or mult < 1:
-            raise NonPositive(f"lengths and multiplicities must be >= 1: {term!r}")
+            raise ProfileError(f"lengths and multiplicities must be >= 1: {term!r}")
         if length > MAX_LENGTH:
-            raise LengthTooLarge(f"term {k}: lengths are capped at 2^32")
+            raise ProfileError(f"term {k}: lengths are capped at 2^32")
         if length in by_length:
             if length == 1:
-                raise DuplicateLength("more than one length-1 term")
-            raise DuplicateLength(f"length {length} appears more than once")
+                raise ProfileError("more than one length-1 term")
+            raise ProfileError(f"length {length} appears more than once")
         by_length[length] = mult
     return CycleProfile(tuple(sorted(by_length.items())))
 
@@ -241,7 +225,7 @@ class LengthDecomposition:
 def decompose_lengths(l1: int, l2: int, l3: int) -> LengthDecomposition:
     """Classify the primes of a triple 2 <= l1 < l2 < l3 and take products."""
     if not 2 <= l1 < l2 < l3:
-        raise ValueError(f"need 2 <= l1 < l2 < l3, got ({l1}, {l2}, {l3})")
+        raise RackError(f"need 2 <= l1 < l2 < l3, got ({l1}, {l2}, {l3})")
     fa, fb, fc = dict(_factorize(l1)), dict(_factorize(l2)), dict(_factorize(l3))
     primes = tuple(sorted(set(fa) | set(fb) | set(fc)))
     exponents = []
@@ -328,7 +312,7 @@ def full_verdict(pf: CycleProfile, scope: str = SCOPE_RACKS) -> ObstructionVerdi
     a contiguous-split exclusion here, as that rule already passed.
     """
     if scope not in SCOPES:
-        raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
+        raise RackError(f"scope must be one of {SCOPES}, got {scope!r}")
     rules = [prop35_verdict, cor34_verdict]
     if scope == SCOPE_CROSSED_SETS:
         rules.append(prop315_verdict)

@@ -12,6 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .errors import RackError
+
 Perm = tuple[int, ...]
 
 MAX_LENGTH = 2**32
@@ -43,7 +45,7 @@ def checked(images: Iterable[int]) -> Perm:
     """Coerce to a tuple, requiring a valid permutation."""
     p = tuple(images)
     if not is_permutation(p):
-        raise ValueError(f"not a permutation of 0..{len(p) - 1}: {p}")
+        raise RackError(f"not a permutation of 0..{len(p) - 1}: {p}")
     return p
 
 
@@ -94,11 +96,11 @@ class CycleProfile:
     def __post_init__(self):
         lengths = [l for l, _ in self.entries]
         if any(l < 1 for l in lengths) or any(m < 1 for _, m in self.entries):
-            raise ValueError(f"profile entries must be positive: {self.entries!r}")
+            raise RackError(f"profile entries must be positive: {self.entries!r}")
         if lengths != sorted(set(lengths)):
-            raise ValueError(f"profile lengths must be strictly increasing: {self.entries!r}")
+            raise RackError(f"profile lengths must be strictly increasing: {self.entries!r}")
         if lengths and lengths[-1] > MAX_LENGTH:
-            raise ValueError(f"lengths are capped at 2^32: {self.moving_lengths()!r}")
+            raise RackError(f"lengths are capped at 2^32: {self.moving_lengths()!r}")
 
     @classmethod
     def from_cycle_lengths(cls, lengths: Iterable[int]) -> "CycleProfile":
@@ -150,7 +152,7 @@ def support(p: Perm) -> int:
 def compose(p: Perm, q: Perm) -> Perm:
     """Composition applying ``q`` first, then ``p``."""
     if len(p) != len(q):
-        raise ValueError(f"size mismatch: {len(p)} vs {len(q)}")
+        raise RackError(f"size mismatch: {len(p)} vs {len(q)}")
     return tuple(p[v] for v in q)
 
 
@@ -190,9 +192,9 @@ def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> Perm:
     for cyc in cycles:
         for point in cyc:
             if not 0 <= point < n:
-                raise ValueError(f"cycle point {point} outside 0..{n - 1}")
+                raise RackError(f"cycle point {point} outside 0..{n - 1}")
             if point in touched:
-                raise ValueError(f"point {point} appears in more than one cycle")
+                raise RackError(f"point {point} appears in more than one cycle")
             touched.add(point)
         for pos, point in enumerate(cyc):
             images[point] = cyc[(pos + 1) % len(cyc)]

@@ -32,18 +32,6 @@ class TableParseError(RackError):
         super().__init__(f"{where}: {message}")
 
 
-class TableSyntaxError(TableParseError):
-    pass
-
-
-class BadDimensions(TableParseError):
-    pass
-
-
-class EntryOutOfRange(TableParseError):
-    pass
-
-
 @dataclass(frozen=True)
 class TableDocument:
     """A parsed table file: 1-based rows plus optional annotations."""
@@ -81,29 +69,29 @@ def parse_table(text: str) -> TableDocument:
             continue
         data.append((lineno, stripped))
     if not data:
-        raise TableSyntaxError("missing order line", line=1)
+        raise TableParseError("missing order line", line=1)
     head_line, head = data[0]
     if not (head.isascii() and head.isdigit()):
-        raise TableSyntaxError(f"order line must be a positive integer, got {head!r}", head_line)
+        raise TableParseError(f"order line must be a positive integer, got {head!r}", head_line)
     digits = head.lstrip("0") or "0"
     try:
         n = int(digits)
     except ValueError:
-        raise TableSyntaxError(
+        raise TableParseError(
             f"order line has {len(digits)} digits, too many to read", head_line
         ) from None
     if n < 1:
-        raise TableSyntaxError(f"order must be positive, got {n}", head_line)
+        raise TableParseError(f"order must be positive, got {n}", head_line)
     body = data[1:]
     if len(body) != n:
         reported = body[-1][0] if body else head_line
-        raise BadDimensions(f"expected {n} table rows, found {len(body)}", reported)
+        raise TableParseError(f"expected {n} table rows, found {len(body)}", reported)
     width = len(str(n))
     rows = []
     for lineno, line in body:
         tokens = line.split()
         if len(tokens) != n:
-            raise BadDimensions(f"expected {n} entries, found {len(tokens)}", lineno)
+            raise TableParseError(f"expected {n} entries, found {len(tokens)}", lineno)
         # A line of ASCII numerals in 1..n is read in one C-level pass.  The
         # width bound keeps int() from raising here; any other line goes
         # token by token, which reports the first bad entry and its column.
@@ -115,13 +103,13 @@ def parse_table(text: str) -> TableDocument:
         entries = []
         for col, token in enumerate(tokens, start=1):
             if not (token.isascii() and token.isdigit()):
-                raise TableSyntaxError(f"bad integer {token!r}", lineno, col)
+                raise TableParseError(f"bad integer {token!r}", lineno, col)
             # Without its leading zeros, a numeral wider than n's is out of
             # range; it is reported without int(), which refuses numerals
             # of thousands of digits.
             digits = token.lstrip("0") or "0"
             if len(digits) > width or not 1 <= (value := int(digits)) <= n:
-                raise EntryOutOfRange(f"entry {digits} outside 1..{n}", lineno, col)
+                raise TableParseError(f"entry {digits} outside 1..{n}", lineno, col)
             entries.append(value)
         rows.append(tuple(entries))
     return TableDocument(n, tuple(rows), name, source)
@@ -136,7 +124,7 @@ def emit_table(table, name: str | None = None, source: str | None = None) -> str
     """Render a table (RackTable or TableDocument) in the file format.
 
     ``name`` and ``source`` are written stripped, and left out when
-    nothing is left; one that spans lines raises ``ValueError``.  The
+    nothing is left; one that spans lines raises :class:`RackError`.  The
     output round-trips exactly through :func:`parse_table`.
     """
     if isinstance(table, TableDocument):
@@ -152,7 +140,7 @@ def emit_table(table, name: str | None = None, source: str | None = None) -> str
     for key, value in (("name", name), ("source", source)):
         value = (value or "").strip()
         if len(value.splitlines()) > 1:
-            raise ValueError(f"table {key} must fit on one line, got {value!r}")
+            raise RackError(f"table {key} must fit on one line, got {value!r}")
         if value:
             lines.append(f"# {key}: {value}")
     lines.append(str(n))

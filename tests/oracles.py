@@ -463,10 +463,10 @@ def validate_cubic(n, raw_table):
     """``rackq.core.validate`` as first built: entry and row scans, then
     self-distributivity checked on every triple in row-major order."""
     if n < 1:
-        raise ValueError(f"carrier size must be positive, got {n}")
+        raise rq.RackError(f"carrier size must be positive, got {n}")
     rows = tuple(tuple(row) for row in raw_table)
     if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValueError(f"expected an {n}x{n} table")
+        raise rq.RackError(f"expected an {n}x{n} table")
     for x, row in enumerate(rows):
         for y, v in enumerate(row):
             if not isinstance(v, int) or not 0 <= v < n:
@@ -505,29 +505,29 @@ def parse_table_per_token(text):
             continue
         data.append((lineno, stripped))
     if not data:
-        raise rq.TableSyntaxError("missing order line", line=1)
+        raise rq.TableParseError("missing order line", line=1)
     head_line, head = data[0]
     if not (head.isascii() and head.isdigit()):
-        raise rq.TableSyntaxError(f"order line must be a positive integer, got {head!r}", head_line)
+        raise rq.TableParseError(f"order line must be a positive integer, got {head!r}", head_line)
     n = int(head)
     if n < 1:
-        raise rq.TableSyntaxError(f"order must be positive, got {n}", head_line)
+        raise rq.TableParseError(f"order must be positive, got {n}", head_line)
     body = data[1:]
     if len(body) != n:
         reported = body[-1][0] if body else head_line
-        raise rq.BadDimensions(f"expected {n} table rows, found {len(body)}", reported)
+        raise rq.TableParseError(f"expected {n} table rows, found {len(body)}", reported)
     rows = []
     for lineno, line in body:
         tokens = line.split()
         if len(tokens) != n:
-            raise rq.BadDimensions(f"expected {n} entries, found {len(tokens)}", lineno)
+            raise rq.TableParseError(f"expected {n} entries, found {len(tokens)}", lineno)
         entries = []
         for col, token in enumerate(tokens, start=1):
             if not (token.isascii() and token.isdigit()):
-                raise rq.TableSyntaxError(f"bad integer {token!r}", lineno, col)
+                raise rq.TableParseError(f"bad integer {token!r}", lineno, col)
             value = int(token)
             if not 1 <= value <= n:
-                raise rq.EntryOutOfRange(f"entry {value} outside 1..{n}", lineno, col)
+                raise rq.TableParseError(f"entry {value} outside 1..{n}", lineno, col)
             entries.append(value)
         rows.append(tuple(entries))
     return rq.TableDocument(n, tuple(rows), name, source)

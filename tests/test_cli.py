@@ -59,6 +59,14 @@ class TestMake:
         for family in ("trivial", "cyclic", "dihedral"):
             code, out, err = run(capsys, "make", family, "0")
             assert (code, out, err) == (1, "", "carrier size must be positive, got 0\n"), family
+        # Sizes no sequence can hold are refused before anything is built.
+        huge = "9" * 30
+        cases = [(("make", family, huge), huge) for family in ("trivial", "cyclic", "dihedral")]
+        cases.append((("make", "affine", "--moduli", huge, "--alpha", "3"), huge))
+        for argv, size in cases:
+            code, out, err = run(capsys, *argv)
+            want = f"carrier size must be at most {sys.maxsize}, got {size}\n"
+            assert (code, out, err) == (1, "", want), argv
 
     def test_affine_matrix_must_be_a_homomorphism(self, capsys):
         code, out, err = run(capsys, "make", "affine", "--moduli", "5,2", "--alpha", "3,0;3,7")
@@ -420,7 +428,7 @@ class TestParserFuzz:
         for parse in parsers:
             try:
                 parse(text)
-            except (ValueError, rq.RackError) as exc:
+            except rq.RackError as exc:
                 assert "Exceeds the limit" not in str(exc)
 
 

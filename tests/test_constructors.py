@@ -219,6 +219,15 @@ class TestAffine:
             AffineSpec((3,), ((1, 0),))
         with pytest.raises(ValueError):
             AffineSpec((0,), ((1,),))
+        # Every entry must be an int: no truncation, no parsing of strings.
+        with pytest.raises(rq.RackError, match=r"^moduli\[0\] must be an integer, got 5\.9$"):
+            AffineSpec((5.9,), ((2,),))
+        with pytest.raises(rq.RackError, match=r"^alpha\[0\]\[0\] must be an integer, got 2\.5$"):
+            AffineSpec((5,), ((2.5,),))
+        with pytest.raises(rq.RackError, match=r"^moduli\[0\] must be an integer, got '5'$"):
+            AffineSpec(("5",), (("2",),))
+        with pytest.raises(rq.RackError, match=r"^alpha\[0\]\[0\] must be an integer, got 'x'$"):
+            AffineSpec((5,), (("x",),))
         # Entry (i, j) maps Z_{n_j} to Z_{n_i}, so n_i must divide n_j * entry.
         with pytest.raises(
             ValueError,

@@ -75,7 +75,7 @@ def validate_outcome(check, n, rows):
     attributes of what it raises."""
     try:
         return check(n, rows)
-    except (rq.TableValidationError, ValueError) as exc:
+    except rq.RackError as exc:
         return type(exc).__name__, str(exc), vars(exc)
 
 

@@ -1,6 +1,6 @@
 """The docstring examples of every module run as tests, the modules pass
-an import lint written with the standard library alone, and the README
-names every public name."""
+an import lint and a raise lint written with the standard library alone,
+and the README names every public name."""
 import ast
 import doctest
 import importlib
@@ -40,6 +40,38 @@ def test_modules_use_every_name_they_import():
         if path.name == "__init__.py":
             used |= set(rackq.__all__)
         assert _imported_names(tree) <= used, (path.name, _imported_names(tree) - used)
+
+
+# The raises outside the RackError family, as (module, function, exception):
+# each is the type a protocol requires of that function.
+PROTOCOL_RAISES = {
+    ("tableio", "report_object", "TypeError"),  # the json.dumps default hook
+    ("core", "inner_map", "IndexError"),  # indexing a point outside the carrier
+    ("cli", "_ascii_int", "argparse.ArgumentTypeError"),  # an argparse type
+}
+
+
+def _raises(node, func=None):
+    """(innermost enclosing function, exception expression) for each
+    ``raise X`` under ``node``; a bare ``raise`` re-raises and is skipped."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise) and child.exc is not None:
+            yield func, child.exc
+        yield from _raises(child, child.name if isinstance(child, ast.FunctionDef) else func)
+
+
+def test_library_raises_only_rack_errors():
+    outside = []
+    for path in SOURCES:
+        module = rackq if path.stem == "__init__" else importlib.import_module(f"rackq.{path.stem}")
+        for func, exc in _raises(ast.parse(path.read_text())):
+            name = ast.unparse(exc.func if isinstance(exc, ast.Call) else exc)
+            raised = eval(name, vars(module))  # the name as the module resolves it
+            if isinstance(raised, type) and issubclass(raised, rackq.RackError):
+                continue
+            if (path.stem, func, name) not in PROTOCOL_RAISES:
+                outside.append(f"{path.name}:{exc.lineno} {func} raises {name}")
+    assert not outside
 
 
 def test_all_lists_exactly_the_imported_names():

@@ -7,10 +7,7 @@ import pytest
 import rackq as rq
 from rackq import (
     CycleProfile,
-    DuplicateLength,
-    LengthTooLarge,
-    NonPositive,
-    ProfileSyntaxError,
+    ProfileError,
     cor34_verdict,
     decompose_lengths,
     full_verdict,
@@ -19,8 +16,6 @@ from rackq import (
     prop35_verdict,
     prop315_verdict,
 )
-
-from rackq.obstructions import ProfileError
 
 import oracles
 
@@ -50,23 +45,25 @@ class TestParseProfile:
         assert pf.moving_lengths() == (2, 6, 10)
 
     def test_syntax_errors(self):
-        for bad in ("", "x", "2^", "^2", "2^3^4", "-2", "\u0661 2", "2^\u00b2", "\uff12"):
-            with pytest.raises(ProfileSyntaxError):
+        with pytest.raises(ProfileError, match="^empty profile$"):
+            parse_profile("")
+        for bad in ("x", "2^", "^2", "2^3^4", "-2", "\u0661 2", "2^\u00b2", "\uff12"):
+            with pytest.raises(ProfileError, match="^bad profile term "):
                 parse_profile(bad)
         for bad, term in (("9" * 5000, 1), ("1 2^" + "9" * 5000, 2)):
-            with pytest.raises(ProfileSyntaxError, match=f"term {term} has a numeral of 5000 digits"):
+            with pytest.raises(ProfileError, match=f"^term {term} has a numeral of 5000 digits"):
                 parse_profile(bad)
 
     def test_duplicate_length(self):
-        with pytest.raises(DuplicateLength):
+        with pytest.raises(ProfileError, match="^length 2 appears more than once$"):
             parse_profile("2 2")
-        with pytest.raises(DuplicateLength):
+        with pytest.raises(ProfileError, match="^more than one length-1 term$"):
             parse_profile("1 1^2")
 
     def test_nonpositive(self):
-        with pytest.raises(NonPositive):
+        with pytest.raises(ProfileError, match="^lengths and multiplicities must be >= 1: '0\\^2'$"):
             parse_profile("0^2")
-        with pytest.raises(NonPositive):
+        with pytest.raises(ProfileError, match="^lengths and multiplicities must be >= 1: '2\\^0'$"):
             parse_profile("2^0")
 
     def test_round_trip_via_str(self):
@@ -91,9 +88,9 @@ class TestProfileType:
             parse_profile(f"2 {2**32 + 1}")
 
     def test_over_cap_length_is_a_profile_error_naming_its_term(self):
-        with pytest.raises(LengthTooLarge, match="term 3: lengths are capped at 2\\^32") as info:
+        with pytest.raises(ProfileError, match="^term 3: lengths are capped at 2\\^32$") as info:
             parse_profile(f"1^2 2 {2**32 + 1}^2")
-        assert isinstance(info.value, ProfileError) and isinstance(info.value, ValueError)
+        assert isinstance(info.value, rq.RackError) and isinstance(info.value, ValueError)
 
     def test_parsed_and_table_profiles_are_one_type(self):
         table_profile = rq.pattern((0, 4, 3, 2, 1))
