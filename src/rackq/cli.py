@@ -40,8 +40,12 @@ def _cmd_check(args) -> int:
     rt = _load(args.table)
     payload = {"order": rt.n}
     payload.update(report_object(classify(rt)))
+    # The members of an orbit share one profile object: format each once.
+    patterns = per_point_patterns(rt)
+    distinct = {id(prof): prof for _, prof in patterns}
+    text = {key: str(prof) for key, prof in distinct.items()}
     payload["per_point_patterns"] = [
-        {"point": x + 1, "pattern": str(prof)} for x, prof in per_point_patterns(rt)
+        {"point": x + 1, "pattern": text[id(prof)]} for x, prof in patterns
     ]
     print(emit_report(payload))
     return 0

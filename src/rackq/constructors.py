@@ -72,7 +72,11 @@ class AffineSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "moduli", tuple(self.moduli))
-        object.__setattr__(self, "alpha", tuple(map(tuple, self.alpha)))
+        try:
+            alpha = tuple(map(tuple, self.alpha))
+        except TypeError:
+            alpha = ()  # not a sequence of sequences, so never m x m
+        object.__setattr__(self, "alpha", alpha)
         for i, v in enumerate(self.moduli):
             if type(v) is not int:
                 raise RackError(f"moduli[{i}] must be an integer, got {v!r}")

@@ -149,7 +149,10 @@ def validate(n: int, raw_table) -> RackTable:
     and cost O(n²).
     """
     check_carrier_size(n)
-    rows = tuple(tuple(row) for row in raw_table)
+    try:
+        rows = tuple(tuple(row) for row in raw_table)
+    except TypeError:
+        rows = ()  # not a sequence of sequences, so never n x n
     if len(rows) != n or any(len(row) != n for row in rows):
         raise RackError(f"expected an {n}x{n} table")
     carrier = set(range(n))

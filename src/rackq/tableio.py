@@ -3,8 +3,9 @@
 Table files are 1-based for compatibility with published quandle
 matrices: lines starting with '#' are comments, the first non-comment
 line is the order n, and the next n lines hold n whitespace-separated
-entries each, line x giving the images of 1..n under x.  Internally
-everything is 0-based.
+entries each, line x giving the images of 1..n under x.  Body lines go
+through one lookup of the numerals per order; a line it misses (a leading
+zero, say) is read token by token.  Internally everything is 0-based.
 
 Reports serialize to JSON with a fixed field order, so identical inputs
 always produce identical bytes.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import repeat
-from operator import sub
+from operator import itemgetter, sub
 
 from .core import RackTable, validate
 from .enumeration import CensusReport
@@ -42,15 +43,31 @@ class TableDocument:
     source: str | None = None
 
     def to_rack(self) -> RackTable:
-        """Shift to 0-based and run full axiom validation."""
-        return validate(self.order, [tuple(map(sub, row, repeat(1))) for row in self.rows])
+        """Shift to 0-based and run full axiom validation.
+
+        A row is one gather over a dict of 1..n; a hand-built table with an
+        entry outside it, of the wrong size or of order 1 (a scalar gather)
+        is shifted entry by entry, so :func:`validate` reports the fault.
+        """
+        n, rows = self.order, self.rows
+        if 1 < n == len(rows):
+            shift = dict(zip(range(1, n + 1), range(n)))
+            try:
+                shifted = [itemgetter(*row)(shift) for row in rows]
+            except (KeyError, TypeError):
+                pass
+            else:
+                return validate(n, shifted)
+        return validate(n, [tuple(map(sub, row, repeat(1))) for row in rows])
 
 
 def parse_table(text: str) -> TableDocument:
     """Parse the plain-text table format into a document.
 
     Recognizes '# name:' and '# source:' comments as annotations; other
-    comments and blank lines are ignored.
+    comments and blank lines are ignored.  After the row count, a lookup
+    of the numerals "1".."n" reads each body line; a line it misses goes
+    token by token, which accepts leading zeros and locates a bad entry.
     """
     name = None
     source = None
@@ -86,20 +103,18 @@ def parse_table(text: str) -> TableDocument:
     if len(body) != n:
         reported = body[-1][0] if body else head_line
         raise TableParseError(f"expected {n} table rows, found {len(body)}", reported)
+    value_of = {str(v): v for v in range(1, n + 1)}.get
     width = len(str(n))
     rows = []
     for lineno, line in body:
         tokens = line.split()
         if len(tokens) != n:
             raise TableParseError(f"expected {n} entries, found {len(tokens)}", lineno)
-        # A line of ASCII numerals in 1..n is read in one C-level pass.  The
-        # width bound keeps int() from raising here; any other line goes
-        # token by token, which reports the first bad entry and its column.
-        if line.isascii() and "".join(tokens).isdigit() and max(map(len, tokens)) <= width:
-            entries = tuple(map(int, tokens))
-            if 1 <= min(entries) and max(entries) <= n:
-                rows.append(entries)
-                continue
+        # Every value is positive, so all() fails only on a missed token.
+        entries = tuple(map(value_of, tokens))
+        if all(entries):
+            rows.append(entries)
+            continue
         entries = []
         for col, token in enumerate(tokens, start=1):
             if not (token.isascii() and token.isdigit()):
@@ -125,17 +140,20 @@ def emit_table(table, name: str | None = None, source: str | None = None) -> str
 
     ``name`` and ``source`` are written stripped, and left out when
     nothing is left; one that spans lines raises :class:`RackError`.  The
-    output round-trips exactly through :func:`parse_table`.
+    output round-trips exactly through :func:`parse_table`.  A rack's rows
+    go through a dict of its numerals, so an unvalidated entry outside
+    0..n-1 raises KeyError rather than writing another point's numeral.
     """
     if isinstance(table, TableDocument):
         doc = table
         name = name if name is not None else doc.name
         source = source if source is not None else doc.source
-        rows = doc.rows
+        rows = (map(str, row) for row in doc.rows)
         n = doc.order
     else:
         n = table.n
-        rows = tuple(tuple(v + 1 for v in row) for row in table.rows)
+        numerals = dict(zip(range(n), map(str, range(1, n + 1))))
+        rows = (map(numerals.__getitem__, row) for row in table.rows)
     lines = []
     for key, value in (("name", name), ("source", source)):
         value = (value or "").strip()
@@ -144,7 +162,7 @@ def emit_table(table, name: str | None = None, source: str | None = None) -> str
         if value:
             lines.append(f"# {key}: {value}")
     lines.append(str(n))
-    lines.extend(" ".join(str(v) for v in row) for row in rows)
+    lines.extend(map(" ".join, rows))
     return "\n".join(lines) + "\n"
 
 

@@ -533,6 +533,30 @@ def parse_table_per_token(text):
     return rq.TableDocument(n, tuple(rows), name, source)
 
 
+def emit_table_per_entry(table, name=None, source=None):
+    """``rackq.emit_table`` as first built: a rack's rows are shifted to
+    1-based one entry at a time and every entry is formatted by itself."""
+    if isinstance(table, rq.TableDocument):
+        doc = table
+        name = name if name is not None else doc.name
+        source = source if source is not None else doc.source
+        rows = doc.rows
+        n = doc.order
+    else:
+        n = table.n
+        rows = tuple(tuple(v + 1 for v in row) for row in table.rows)
+    lines = []
+    for key, value in (("name", name), ("source", source)):
+        value = (value or "").strip()
+        if len(value.splitlines()) > 1:
+            raise rq.RackError(f"table {key} must fit on one line, got {value!r}")
+        if value:
+            lines.append(f"# {key}: {value}")
+    lines.append(str(n))
+    lines.extend(" ".join(str(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def table_analysis_per_row(rt):
     """``RackTable.orbits`` and ``RackTable.patterns`` as first built:
     every column is read up front, and the profile of every row is counted

@@ -170,6 +170,26 @@ class TestCheck:
         assert payload["is_indecomposable"] and payload["degree"] == 2
         assert payload["per_point_patterns"][0] == {"point": 1, "pattern": "1^1 2^2"}
 
+    def test_patterns_of_decomposable_tables(self, capsys, monkeypatch, rack_reps):
+        # Each orbit's profile is formatted once; the bytes are those of
+        # formatting it at every point.  The last table joins a pentagon,
+        # a triangle and two fixed points, three orbit profiles over four orbits.
+        tables = [rt for rt in rack_reps[5] if len(rq.orbit_partition(rt)) > 1]
+        d5, d3 = rq.dihedral(5).rows, rq.dihedral(3).rows
+        tables.append(rq.validate(10, [
+            *(row + (5, 6, 7, 8, 9) for row in d5),
+            *((0, 1, 2, 3, 4) + tuple(v + 5 for v in row) + (8, 9) for row in d3),
+            *(tuple(range(10)),) * 2,
+        ]))
+        assert len(rq.orbit_partition(tables[-1])) == 4
+        for rt in tables:
+            code, out, _ = run_with_stdin(capsys, monkeypatch, rq.emit_table(rt), "check", "-")
+            want = {"order": rt.n, **json.loads(rq.emit_report(rq.classify(rt)))}
+            want["per_point_patterns"] = [
+                {"point": x + 1, "pattern": str(prof)} for x, prof in rq.per_point_patterns(rt)
+            ]
+            assert (code, out) == (0, rq.emit_report(want) + "\n")
+
     def test_invalid_table_surfaces_witness(self, capsys, monkeypatch):
         code, _, err = run_with_stdin(capsys, monkeypatch, "2\n1 1\n2 2\n", "check", "-")
         assert code == 1

@@ -220,6 +220,9 @@ class TestAffine:
         with pytest.raises(ValueError):
             AffineSpec((0,), ((1,),))
         # Every entry must be an int: no truncation, no parsing of strings.
+        # A matrix whose rows are not sequences is refused like any bad shape.
+        with pytest.raises(rq.RackError, match=r"^alpha must be a 1x1 matrix$"):
+            AffineSpec((5,), (2,))
         with pytest.raises(rq.RackError, match=r"^moduli\[0\] must be an integer, got 5\.9$"):
             AffineSpec((5.9,), ((2,),))
         with pytest.raises(rq.RackError, match=r"^alpha\[0\]\[0\] must be an integer, got 2\.5$"):

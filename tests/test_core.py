@@ -55,6 +55,14 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(2, [[0, 1], [1, 0, 1]])
 
+    def test_non_sequence_table(self):
+        with pytest.raises(rq.RackError, match=r"^expected an 2x2 table$"):
+            validate(2, 5)
+
+    def test_non_sequence_row(self):
+        with pytest.raises(rq.RackError, match=r"^expected an 2x2 table$"):
+            validate(2, [[0, 1], 5])
+
     def test_nonpositive_order(self):
         with pytest.raises(ValueError):
             validate(0, [])

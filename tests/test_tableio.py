@@ -36,6 +36,18 @@ class TestParseTable:
             doc.to_rack()
         assert exc.value.row == 0
 
+    def test_to_rack_reports_entries_outside_range(self):
+        # Only a document built by hand holds these; each is shifted as it
+        # is, not wrapped into 0..n-1, and reported at its place.
+        rows = parse_table(DIHEDRAL3_TEXT).rows
+        for value in (0, -1, -3, 4, 9):
+            edited = [list(row) for row in rows]
+            edited[1][2] = value
+            doc = rq.TableDocument(3, tuple(map(tuple, edited)))
+            with pytest.raises(rq.OutOfRangeEntry) as exc:
+                doc.to_rack()
+            assert (exc.value.x, exc.value.y, exc.value.value) == (1, 2, value - 1)
+
     def test_comments_blank_lines_and_annotations(self):
         text = "# name: pentagon\n\n# source: handmade\n# free-form remark\n5\n" + "\n".join(
             " ".join(str(v + 1) for v in row) for row in dihedral(5).rows
@@ -107,8 +119,9 @@ def parse_outcome(parse, text):
 
 
 class TestParseFastPath:
-    """parse_table reads a line of in-range numerals in one pass; the others
-    take the per-token path, kept as ``oracles.parse_table_per_token``."""
+    """parse_table reads a line of canonical numerals in 1..n through one
+    lookup; the others take the per-token path, kept as
+    ``oracles.parse_table_per_token``."""
 
     # An explicit sign, zero padding, a non-ASCII digit, a word, both ends
     # of the range and past them, and a numeral too long for int().
@@ -155,8 +168,64 @@ class TestParseFastPath:
         for rt in family_tables.values():
             self.assert_same(emit_table(rt))
 
+    @pytest.mark.parametrize("n", (9, 10, 99, 100))
+    def test_width_boundary(self, n):
+        # n is read by the lookup, n + 1 (one digit wider at n = 9 and 99)
+        # is out of range, and a padded numeral of an in-range value goes
+        # token by token and is accepted.
+        lines = emit_table(trivial(n)).split("\n")
+        for token, col in product((str(n), str(n + 1), "0" + str(n), "01", "0010"), (0, n - 1)):
+            edited = list(lines)
+            entries = edited[2].split(" ")
+            entries[col] = token
+            edited[2] = " ".join(entries)
+            self.assert_same("\n".join(edited))
+
+    def test_separators(self):
+        # Tabs and runs of spaces split tokens like a single space.
+        text = "3\n1 \t3  2\n3\t2\t\t1\n2   1 \t 3\n"
+        self.assert_same(text)
+        assert parse_table(text) == parse_table(DIHEDRAL3_TEXT)
+        self.assert_same(text.replace("2   1", "2   01"))
+        self.assert_same(text.replace("3\t2\t\t1", "3\t2\t\tx"))
+
+    def test_only_bad_token_is_last(self):
+        lines = emit_table(dihedral(12)).split("\n")
+        for token in self.TOKENS:
+            edited = list(lines)
+            edited[7] = edited[7].rsplit(" ", 1)[0] + " " + token
+            self.assert_same("\n".join(edited))
+
+    def test_huge_order_with_short_body(self):
+        # The row count is checked before anything of size n is built.
+        with pytest.raises(TableParseError, match=r"^line 3: expected 1000000000000 table rows, found 2$"):
+            parse_table(f"{10**12}\n1 2\n2 1\n")
+
 
 class TestEmitTable:
+    @staticmethod
+    def assert_matches_oracle(table):
+        for name, source in ((None, None), ("t", None), (None, "s"), ("t", "s")):
+            want = oracles.emit_table_per_entry(table, name=name, source=source)
+            assert emit_table(table, name=name, source=source) == want
+
+    def test_matches_per_entry_oracle_families(self, family_tables):
+        for rt in family_tables.values():
+            self.assert_matches_oracle(rt)
+            self.assert_matches_oracle(parse_table(emit_table(rt, name="n", source="s")))
+
+    def test_matches_per_entry_oracle_census(self, rack_reps):
+        for reps in rack_reps.values():
+            for rt in reps:
+                self.assert_matches_oracle(rt)
+
+    # Order 1 and the orders at which the width of n's numeral changes.
+    @pytest.mark.parametrize("n", (1, 9, 10, 99, 100))
+    def test_width_edges(self, n):
+        for rt in (trivial(n), dihedral(n)):
+            self.assert_matches_oracle(rt)
+            assert load_table(emit_table(rt)) == rt
+
     def test_round_trip_families(self, family_tables):
         for name, rt in family_tables.items():
             assert load_table(emit_table(rt)) == rt, name
@@ -166,6 +235,12 @@ class TestEmitTable:
             text = emit_table(rt)
             assert load_table(text) == rt
             assert emit_table(parse_table(text)) == text
+
+    def test_unvalidated_entry_outside_carrier_is_not_written(self):
+        # No entry is written as another point's numeral.
+        for value in (-1, -2, 2):
+            with pytest.raises(KeyError):
+                emit_table(rq.RackTable(2, ((0, 1), (value, 0))))
 
     def test_annotations_survive(self):
         text = emit_table(dihedral(3), name="tri", source="unit test")
