@@ -134,19 +134,20 @@ def validate(n: int, raw_table) -> RackTable:
     non-bijective row, then :class:`R2Violation` with the first failing
     triple.  Error witnesses are therefore deterministic.
 
-    R2 says every row is an automorphism, and the points whose rows are
-    automorphisms form a subrack, since r_{a▷b} = r_a r_b r_a⁻¹ when r_a is
-    one.  So rows are checked in order, skipping those in the closure of
-    the rows that passed; the first row that fails is still the first row
+    R2 says every row is an automorphism.  Once the rows of a set A have
+    passed, the subrack that A generates is the orbit of A under the group
+    of those rows, since r_{g(b)} = g r_b g⁻¹ for every g in it; and all of
+    its rows are automorphisms.  So rows are checked in order, skipping
+    those in that orbit; the first row that fails is still the first row
     that is not an automorphism.  A row is checked with n whole-row
     comparisons, and a row equal to one that passed needs no check.
 
-    The cost is O(g·n²) C-level steps, where g counts the rows checked:
-    each lies outside the closure of the earlier ones, so g is one or two
-    for dihedral and affine quandles.  The worst case is a rack with n
-    distinct rows that needs about n generators, such as a disjoint union
-    of many small quandles; trivial and cyclic racks have a single row
-    and cost O(n²).
+    The cost is O(g·n²) C-level steps for the checks, where g counts the
+    rows checked, and O(g·n) for the orbit: each checked row lies outside
+    the orbit of the earlier ones, so g is one or two for dihedral and
+    affine quandles.  The worst case is a rack with n distinct rows that
+    needs about n generators, such as a disjoint union of many small
+    quandles; trivial and cyclic racks have a single row and cost O(n²).
     """
     check_carrier_size(n)
     try:
@@ -167,21 +168,13 @@ def validate(n: int, raw_table) -> RackTable:
                 raise R1Violation(x)
     # get[y](r) reads r at the entries of row y, so get[y](r_x) is r_x r_y.
     get = [itemgetter(*row) for row in rows]
-    passed = set()
-    closed: set[int] = set()
-    for x, rx in enumerate(rows):
-        if x in closed:
-            continue
-        if rx not in passed:
-            gx = get[x]
-            for y, ry in enumerate(rows):
-                rv = rows[rx[y]]
-                if get[y](rx) != gx(rv):
-                    z = next(z for z in range(n) if rx[ry[z]] != rv[rx[z]])
-                    raise R2Violation(x, y, z)
-            passed.add(rx)
-        closed.add(x)
-        _saturate(rows, closed, [x])
+    for x in _generators(rows, range(n), set()):
+        rx, gx = rows[x], get[x]
+        for y, ry in enumerate(rows):
+            rv = rows[rx[y]]
+            if get[y](rx) != gx(rv):
+                z = next(z for z in range(n) if rx[ry[z]] != rv[rx[z]])
+                raise R2Violation(x, y, z)
     return RackTable(n, rows)
 
 
@@ -200,15 +193,19 @@ def is_quandle(r: RackTable) -> bool:
 def is_crossed_set(r: RackTable) -> bool:
     """True for quandles where fixing is symmetric.
 
-    Whenever y leaves x fixed, x must leave y fixed as well.
+    Whenever y leaves x fixed, x must leave y fixed as well.  ``r`` must be
+    a rack, as :func:`validate` and the constructors return: the condition
+    is kept by every automorphism and the inner group moves x through its
+    orbit, so one x per orbit is tested against every y.
     """
     if not is_quandle(r):
         return False
     rows = r.rows
-    for x in range(r.n):
-        for y in range(r.n):
-            if rows[y][x] == x and rows[x][y] != y:
-                return False
+    for orbit in r.orbits:
+        x = min(orbit)
+        rx = rows[x]
+        if any(v == x and rx[y] != y for y, v in enumerate(map(itemgetter(x), rows))):
+            return False
     return True
 
 
@@ -216,51 +213,66 @@ def is_braided(r: RackTable) -> bool:
     """True if every pair satisfies one of the two braiding equations.
 
     For all x, y: either x fixes y, or applying x to the result of y
-    acting on x gives back y.
+    acting on x gives back y.  ``r`` must be a rack, as for
+    :func:`is_crossed_set`, which lets one x per orbit stand for its orbit.
     """
     rows = r.rows
-    for x in range(r.n):
+    for orbit in r.orbits:
+        x = min(orbit)
         rx = rows[x]
-        for y in range(r.n):
-            if rx[y] != y and rx[rows[y][x]] != y:
-                return False
+        if any(rx[y] != y and rx[v] != y for y, v in enumerate(map(itemgetter(x), rows))):
+            return False
     return True
 
 
 def subrack_closure(r: RackTable, seed) -> frozenset[int]:
     """Smallest superset of ``seed`` closed under the rack operation.
 
-    Worklist saturation over pairs, shared with :func:`validate`.  Closure
+    ``r`` must be a rack, as :func:`validate` and the constructors return:
+    its rows are automorphisms, so the closure is the orbit of the seed
+    under the group of the seed's rows, as in :func:`validate`, and a seed
+    point inside the orbit of the others adds no generator.  Closure
     under the binary operation alone suffices for finite racks: a finite
     subset closed under the operation is closed under each translation,
     and a bijection restricted to a finite invariant set is bijective on
     it, so the subset is itself a rack.
     """
-    members = set(seed)
-    if not members:
+    seed = set(seed)
+    if not seed:
         raise RackError("seed must be non-empty")
-    if any(not 0 <= p < r.n for p in members):
+    if any(not 0 <= p < r.n for p in seed):
         raise RackError(f"seed points must lie in 0..{r.n - 1}")
-    _saturate(r.rows, members, list(members))
+    members: set[int] = set()
+    for _ in _generators(r.rows, seed, members):
+        pass
     return frozenset(members)
 
 
-def _saturate(rows, members: set[int], fresh: list[int]) -> None:
-    """Extend ``members`` in place to its closure under the operation.
+def _generators(rows, points, members: set[int]):
+    """Yield, in order, each of ``points`` whose row joins the generators,
+    and grow ``members``, empty at the call, to the orbit of ``points``
+    under them.
 
-    ``fresh`` lists the members added since ``members`` was last closed
-    (all of them, for a bare seed).  Each point popped is combined with
-    every member on both sides; the loop stops early once the carrier is
-    covered.
+    A point already in the orbit is skipped, and so is one whose row is
+    already a generator; a caller may check a yielded row before the loop
+    resumes.  Each orbit frontier is mapped by every generator, so a point
+    is read once per generator; the group is finite, so forward images
+    alone reach the whole orbit.
     """
-    while fresh and len(members) < len(rows):
-        z = fresh.pop()
-        rz = rows[z]
-        new = set(map(rz.__getitem__, members))
-        new.update(map(itemgetter(z), map(rows.__getitem__, members)))
-        new -= members
-        members |= new
-        fresh.extend(new)
+    gens: set = set()
+    for x in points:
+        if x in members:
+            continue
+        rx = rows[x]
+        fresh = {x}
+        if rx not in gens:
+            yield x
+            gens.add(rx)
+            fresh.update(map(rx.__getitem__, members))
+        fresh -= members
+        while fresh:
+            members |= fresh
+            fresh = set().union(*[map(g.__getitem__, fresh) for g in gens]) - members
 
 
 def is_subrack(r: RackTable, points) -> bool:

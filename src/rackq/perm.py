@@ -19,11 +19,6 @@ Perm = tuple[int, ...]
 MAX_LENGTH = 2**32
 
 
-def identity(n: int) -> Perm:
-    """The identity permutation on n points."""
-    return tuple(range(n))
-
-
 def is_permutation(images: Sequence[int]) -> bool:
     """True if ``images`` is a bijection on {0, ..., len(images)-1}.
 

@@ -103,18 +103,20 @@ def parse_table(text: str) -> TableDocument:
     if len(body) != n:
         reported = body[-1][0] if body else head_line
         raise TableParseError(f"expected {n} table rows, found {len(body)}", reported)
-    value_of = {str(v): v for v in range(1, n + 1)}.get
+    lookup = {str(v): v for v in range(1, n + 1)}
     width = len(str(n))
     rows = []
     for lineno, line in body:
         tokens = line.split()
         if len(tokens) != n:
             raise TableParseError(f"expected {n} entries, found {len(tokens)}", lineno)
-        # Every value is positive, so all() fails only on a missed token.
-        entries = tuple(map(value_of, tokens))
-        if all(entries):
-            rows.append(entries)
-            continue
+        # One gather reads the line; at order 1 it would return a scalar.
+        if n > 1:
+            try:
+                rows.append(itemgetter(*tokens)(lookup))
+                continue
+            except KeyError:
+                pass
         entries = []
         for col, token in enumerate(tokens, start=1):
             if not (token.isascii() and token.isdigit()):

@@ -44,3 +44,22 @@ def family_tables():
         "conj(S4 3-cycles)": rq.conjugation_class_quandle(4, (1, 2, 0, 3)),
     }
     return tables
+
+
+@pytest.fixture(scope="session")
+def decomposable_tables():
+    """Racks of several orbits, on which validate checks several rows:
+    affine quandles on Z_n with 4, 3, 2 and 16 orbits (4, 3, 2 and 12 rows
+    checked), and 20 copies of dihedral(3) that act trivially on each other
+    (20 orbits, 40 rows checked)."""
+    d3 = rq.dihedral(3).rows
+    union = tuple(
+        tuple(x // 3 * 3 + d3[x % 3][y % 3] if x // 3 == y // 3 else y for y in range(60))
+        for x in range(60)
+    )
+    tables = {
+        f"affine({n},{a})": rq.affine(rq.AffineSpec((n,), ((a,),)))
+        for n, a in ((192, 5), (147, 10), (78, 5), (192, 17))
+    }
+    tables["20 x dihedral(3)"] = rq.RackTable(60, union)
+    return tables

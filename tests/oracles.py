@@ -6,6 +6,7 @@ canonicalization machinery, so agreement between the two is meaningful.
 import math
 from functools import lru_cache
 from itertools import permutations, product
+from operator import itemgetter
 
 import rackq as rq
 
@@ -325,8 +326,9 @@ def unpruned_census(n, filt):
 
     Builds every labelled table passing the filters, counts them one by
     one, and keeps those that no relabeling among all n! makes
-    lexicographically smaller.  The filters and the profile histogram use
-    the package's public predicates.  Returns the ``CensusReport`` and the
+    lexicographically smaller.  The crossed-set and braided filters test
+    every pair; indecomposability and the profile histogram use the
+    package's public functions.  Returns the ``CensusReport`` and the
     representatives' rows in stream order.
     """
     sigmas = _perm_inverse_pairs(n)
@@ -334,9 +336,9 @@ def unpruned_census(n, filt):
     reps = []
     for rows in _unpruned_labelled_tables(n, filt.require_quandle):
         rt = rq.RackTable(n, rows)
-        if filt.require_crossed_set and not rq.is_crossed_set(rt):
+        if filt.require_crossed_set and not is_crossed_set_pairs(rt):
             continue
-        if filt.require_braided and not rq.is_braided(rt):
+        if filt.require_braided and not is_braided_pairs(rt):
             continue
         if filt.require_indecomposable and not rq.is_indecomposable(rt):
             continue
@@ -616,3 +618,46 @@ def cycles_row_builder(lengths):
         row += range(a + 1, a + length)
         row.append(a)
     return tuple(row)
+
+
+def is_crossed_set_pairs(r):
+    """``rackq.is_crossed_set`` as first built: every pair (x, y) is
+    tested, so no rack axiom is assumed."""
+    if not rq.is_quandle(r):
+        return False
+    rows = r.rows
+    for x in range(r.n):
+        for y in range(r.n):
+            if rows[y][x] == x and rows[x][y] != y:
+                return False
+    return True
+
+
+def is_braided_pairs(r):
+    """``rackq.is_braided`` as first built: every pair (x, y) is tested."""
+    rows = r.rows
+    for x in range(r.n):
+        rx = rows[x]
+        for y in range(r.n):
+            if rx[y] != y and rx[rows[y][x]] != y:
+                return False
+    return True
+
+
+def subrack_closure_pairs(r, seed):
+    """``rackq.subrack_closure`` as first built: worklist saturation over
+    pairs.  Each point popped is combined with every member on both sides,
+    so no rack axiom is assumed; the loop stops early once the carrier is
+    covered."""
+    rows = r.rows
+    members = set(seed)
+    fresh = list(members)
+    while fresh and len(members) < len(rows):
+        z = fresh.pop()
+        rz = rows[z]
+        new = set(map(rz.__getitem__, members))
+        new.update(map(itemgetter(z), map(rows.__getitem__, members)))
+        new -= members
+        members |= new
+        fresh.extend(new)
+    return frozenset(members)

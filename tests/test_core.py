@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -156,6 +157,20 @@ class TestValidateMatchesCubicScan:
             for rows in mutations(rt.rows, rng):
                 self.assert_same(rows)
 
+    def test_many_checked_rows_and_their_mutations(self, decomposable_tables):
+        # A swap inside a row keeps R1, so R2 decides: one swap in the row of
+        # each orbit's least point, and one in the last row.
+        rng = random.Random(2019)
+        for rt in (decomposable_tables["affine(78,5)"], decomposable_tables["20 x dihedral(3)"]):
+            self.assert_same(rt.rows)
+            for x in sorted({min(orbit) for orbit in rt.orbits} | {rt.n - 1}):
+                rows = [list(row) for row in rt.rows]
+                y, z = rng.sample(range(rt.n), 2)
+                rows[x][y], rows[x][z] = rows[x][z], rows[x][y]
+                self.assert_same(rows)
+            for rows in mutations(rt.rows, rng):
+                self.assert_same(rows)
+
     @given(tables())
     def test_arbitrary_small_tables(self, rows):
         self.assert_same(rows)
@@ -165,6 +180,32 @@ class TestValidateMatchesCubicScan:
         start = time.perf_counter()
         assert validate(rt.n, rt.rows) == rt
         assert time.perf_counter() - start < 0.5
+
+
+class TestOrbitShortcutsMatchPairScans:
+    """is_crossed_set and is_braided test one point per orbit, and
+    subrack_closure is an orbit under the seed's rows; all rely on R2.  The
+    pair scans kept in ``oracles`` assume no axiom and pin them on every
+    rack of order <= 6, the family tables and racks with many orbits and
+    generators."""
+
+    @pytest.fixture(scope="class")
+    def racks(self, rack_reps, rack_reps6, family_tables, decomposable_tables):
+        return ([rt for n in sorted(rack_reps) for rt in rack_reps[n]] + rack_reps6
+                + list(family_tables.values()) + list(decomposable_tables.values()))
+
+    def test_predicates_match_pair_scans(self, racks):
+        for rt in racks:
+            assert is_crossed_set(rt) == oracles.is_crossed_set_pairs(rt), rt
+            assert is_braided(rt) == oracles.is_braided_pairs(rt), rt
+
+    def test_closure_matches_pair_worklist_on_every_small_seed(self, racks):
+        # Above order 64, a pair holds the least point of an orbit.
+        for rt in racks:
+            pairs = combinations(range(rt.n), 2) if rt.n <= 64 else (
+                (min(orbit), y) for orbit in rt.orbits for y in range(rt.n))
+            for seed in chain(combinations(range(rt.n), 1), pairs):
+                assert subrack_closure(rt, seed) == oracles.subrack_closure_pairs(rt, seed), seed
 
 
 class TestInnerMap:

@@ -196,6 +196,18 @@ class TestParseFastPath:
             edited[7] = edited[7].rsplit(" ", 1)[0] + " " + token
             self.assert_same("\n".join(edited))
 
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_orders_one_and_two(self, n):
+        # At order 1 a token is alone on its line; at order 2 it is first or last.
+        lines = emit_table(trivial(n)).split("\n")
+        self.assert_same("\n".join(lines))
+        for token, row, col in product(self.TOKENS + ("2", "3"), range(n), range(n)):
+            edited = list(lines)
+            entries = edited[row + 1].split(" ")
+            entries[col] = token
+            edited[row + 1] = " ".join(entries)
+            self.assert_same("\n".join(edited))
+
     def test_huge_order_with_short_body(self):
         # The row count is checked before anything of size n is built.
         with pytest.raises(TableParseError, match=r"^line 3: expected 1000000000000 table rows, found 2$"):
