@@ -18,7 +18,7 @@ from functools import cache
 from . import constructors
 from .enumeration import EnumerationFilter, census
 from .errors import RackError
-from .inner import classify, per_point_patterns, rack_profile
+from .inner import classify, rack_profile
 from .core import subrack_closure
 from .obstructions import SCOPE_RACKS, SCOPES, full_verdict, hayashi_check, parse_profile
 from .perm import from_cycles
@@ -41,11 +41,10 @@ def _cmd_check(args) -> int:
     payload = {"order": rt.n}
     payload.update(report_object(classify(rt)))
     # The members of an orbit share one profile object: format each once.
-    patterns = per_point_patterns(rt)
-    distinct = {id(prof): prof for _, prof in patterns}
+    distinct = {id(prof): prof for prof in rt.patterns}
     text = {key: str(prof) for key, prof in distinct.items()}
     payload["per_point_patterns"] = [
-        {"point": x + 1, "pattern": text[id(prof)]} for x, prof in patterns
+        {"point": x + 1, "pattern": text[id(prof)]} for x, prof in enumerate(rt.patterns)
     ]
     print(emit_report(payload))
     return 0
@@ -54,7 +53,7 @@ def _cmd_check(args) -> int:
 def _cmd_profile(args) -> int:
     rt = _load(args.table)
     if args.per_point:
-        for x, prof in per_point_patterns(rt):
+        for x, prof in enumerate(rt.patterns):
             print(f"{x + 1}: {prof}")
         return 0
     try:

@@ -18,7 +18,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import RackError
-from .perm import CycleProfile, Perm, is_permutation, pattern, power
+from .perm import CycleProfile, is_permutation, pattern, power
 
 
 class TableValidationError(RackError):
@@ -178,13 +178,6 @@ def validate(n: int, raw_table) -> RackTable:
     return RackTable(n, rows)
 
 
-def inner_map(r: RackTable, x: int) -> Perm:
-    """The left translation by x as a permutation (row x of the table)."""
-    if not 0 <= x < r.n:
-        raise IndexError(f"point {x} outside 0..{r.n - 1}")
-    return r.rows[x]
-
-
 def is_quandle(r: RackTable) -> bool:
     """True if every point is fixed by its own translation."""
     return all(r.rows[x][x] == x for x in range(r.n))
@@ -286,5 +279,7 @@ def fixed_set(r: RackTable, x: int, t: int) -> frozenset[int]:
     """Points fixed by the t-th power of the translation by x."""
     if t < 1:
         raise RackError(f"power must be >= 1, got {t}")
-    pw = power(inner_map(r, x), t)
+    if not 0 <= x < r.n:
+        raise RackError(f"point {x} outside 0..{r.n - 1}")
+    pw = power(r.rows[x], t)
     return frozenset(y for y in range(r.n) if pw[y] == y)

@@ -23,22 +23,9 @@ class NotIndecomposable(RackError):
     """Raised by operations that are only defined on indecomposable racks."""
 
 
-def orbit_partition(r: RackTable) -> tuple[frozenset[int], ...]:
-    """Orbits of the carrier under the inner group, sorted by minimum."""
-    return r.orbits
-
-
 def is_indecomposable(r: RackTable) -> bool:
     """True if the inner group acts transitively on the carrier."""
     return len(r.orbits) == 1
-
-
-def per_point_patterns(r: RackTable) -> tuple[tuple[int, CycleProfile], ...]:
-    """Cycle pattern of every translation, in carrier order.
-
-    The members of an orbit share one profile object.
-    """
-    return tuple(enumerate(r.patterns))
 
 
 def rack_profile(r: RackTable) -> CycleProfile:
@@ -51,7 +38,7 @@ def rack_profile(r: RackTable) -> CycleProfile:
     if not is_indecomposable(r):
         raise NotIndecomposable(
             "rack is decomposable, so it has no single profile; "
-            "use per_point_patterns for the pattern of every translation"
+            "use RackTable.patterns for the pattern of every translation"
         )
     return r.patterns[0]
 

@@ -29,6 +29,21 @@ def run_with_stdin(capsys, monkeypatch, text, *argv):
     return run(capsys, *argv)
 
 
+def decomposable_tables(rack_reps):
+    """Every decomposable rack of order 5, then one of order 10 that joins a
+    pentagon, a triangle and two fixed points: three orbit profiles over
+    four orbits."""
+    tables = [rt for rt in rack_reps[5] if len(rt.orbits) > 1]
+    d5, d3 = rq.dihedral(5).rows, rq.dihedral(3).rows
+    tables.append(rq.validate(10, [
+        *(row + (5, 6, 7, 8, 9) for row in d5),
+        *((0, 1, 2, 3, 4) + tuple(v + 5 for v in row) + (8, 9) for row in d3),
+        *(tuple(range(10)),) * 2,
+    ]))
+    assert len(tables[-1].orbits) == 4
+    return tables
+
+
 class TestMake:
     def test_dihedral_table_bytes(self, capsys):
         code, out, err = run(capsys, "make", "dihedral", "3")
@@ -146,7 +161,11 @@ class TestProfilePipeline:
         _, table_text, _ = run(capsys, "make", "trivial", "3")
         code, _, err = run_with_stdin(capsys, monkeypatch, table_text, "profile", "-")
         assert code == 1
-        assert "--per-point" in err
+        assert err == (
+            "rack is decomposable, so it has no single profile; "
+            "use RackTable.patterns for the pattern of every translation; "
+            "rerun with --per-point for per-point patterns\n"
+        )
 
     def test_per_point_output(self, capsys, monkeypatch):
         _, table_text, _ = run(capsys, "make", "trivial", "3")
@@ -155,6 +174,14 @@ class TestProfilePipeline:
         )
         assert code == 0
         assert out.splitlines() == ["1: 1^3", "2: 1^3", "3: 1^3"]
+
+    def test_per_point_of_decomposable_tables(self, capsys, monkeypatch, rack_reps):
+        for rt in decomposable_tables(rack_reps):
+            code, out, _ = run_with_stdin(
+                capsys, monkeypatch, rq.emit_table(rt), "profile", "-", "--per-point"
+            )
+            want = "".join(f"{x + 1}: {rq.pattern(row)}\n" for x, row in enumerate(rt.rows))
+            assert (code, out) == (0, want)
 
 
 class TestCheck:
@@ -172,21 +199,12 @@ class TestCheck:
 
     def test_patterns_of_decomposable_tables(self, capsys, monkeypatch, rack_reps):
         # Each orbit's profile is formatted once; the bytes are those of
-        # formatting it at every point.  The last table joins a pentagon,
-        # a triangle and two fixed points, three orbit profiles over four orbits.
-        tables = [rt for rt in rack_reps[5] if len(rq.orbit_partition(rt)) > 1]
-        d5, d3 = rq.dihedral(5).rows, rq.dihedral(3).rows
-        tables.append(rq.validate(10, [
-            *(row + (5, 6, 7, 8, 9) for row in d5),
-            *((0, 1, 2, 3, 4) + tuple(v + 5 for v in row) + (8, 9) for row in d3),
-            *(tuple(range(10)),) * 2,
-        ]))
-        assert len(rq.orbit_partition(tables[-1])) == 4
-        for rt in tables:
+        # formatting the pattern of every row.
+        for rt in decomposable_tables(rack_reps):
             code, out, _ = run_with_stdin(capsys, monkeypatch, rq.emit_table(rt), "check", "-")
             want = {"order": rt.n, **json.loads(rq.emit_report(rq.classify(rt)))}
             want["per_point_patterns"] = [
-                {"point": x + 1, "pattern": str(prof)} for x, prof in rq.per_point_patterns(rt)
+                {"point": x + 1, "pattern": str(rq.pattern(row))} for x, row in enumerate(rt.rows)
             ]
             assert (code, out) == (0, rq.emit_report(want) + "\n")
 

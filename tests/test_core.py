@@ -13,7 +13,6 @@ from rackq import (
     RackTable,
     dihedral,
     fixed_set,
-    inner_map,
     is_braided,
     is_crossed_set,
     is_quandle,
@@ -182,6 +181,41 @@ class TestValidateMatchesCubicScan:
         assert time.perf_counter() - start < 0.5
 
 
+class TestValidateChecksGenerators:
+    """validate checks R2 only on the rows that ``core._generators`` yields:
+    a row in the orbit of those already checked, or equal to one of them,
+    is skipped.  The counts pin the skip, which no time bound sees."""
+
+    @staticmethod
+    def checked_rows(rt):
+        checked = []
+        generators = rq.core._generators
+
+        def recording(*args):
+            for x in generators(*args):
+                checked.append(x)
+                yield x
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rq.core, "_generators", recording)
+            assert validate(rt.n, rt.rows) == rt
+        return checked
+
+    def test_dihedral_checks_two_rows(self):
+        for n in (301, 300):
+            assert self.checked_rows(dihedral(n)) == [0, 1], n
+
+    def test_decomposable_tables(self, decomposable_tables):
+        counts = {name: len(self.checked_rows(rt)) for name, rt in decomposable_tables.items()}
+        assert counts == {
+            "affine(192,5)": 4,
+            "affine(147,10)": 3,
+            "affine(78,5)": 2,
+            "affine(192,17)": 12,
+            "20 x dihedral(3)": 40,
+        }
+
+
 class TestOrbitShortcutsMatchPairScans:
     """is_crossed_set and is_braided test one point per orbit, and
     subrack_closure is an orbit under the seed's rows; all rely on R2.  The
@@ -212,21 +246,21 @@ class TestInnerMap:
     def test_trivial_rows_are_identity(self):
         rt = trivial(4)
         for x in range(4):
-            assert inner_map(rt, x) == (0, 1, 2, 3)
+            assert rt.rows[x] == (0, 1, 2, 3)
 
     def test_dihedral5(self):
-        assert inner_map(dihedral(5), 0) == (0, 4, 3, 2, 1)
+        assert dihedral(5).rows[0] == (0, 4, 3, 2, 1)
 
     def test_cyclic4(self):
         rt = rq.cyclic_rack(4)
         for x in range(4):
-            assert inner_map(rt, x) == (1, 2, 3, 0)
+            assert rt.rows[x] == (1, 2, 3, 0)
 
     def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            inner_map(trivial(3), 3)
-        with pytest.raises(IndexError):
-            inner_map(trivial(3), -1)
+        # fixed_set reads the translation by x, so it refuses an x outside the carrier.
+        for x in (3, -1):
+            with pytest.raises(rq.RackError, match=rf"^point {x} outside 0\.\.2$"):
+                fixed_set(trivial(3), x, 1)
 
 
 class TestPredicates:
@@ -354,7 +388,7 @@ class TestFixedSet:
         for n in (3, 4):
             for rt in rack_reps[n]:
                 for x in range(rt.n):
-                    top = rq.order(inner_map(rt, x))
+                    top = rq.order(rt.rows[x])
                     for t in range(1, top + 1):
                         fs = fixed_set(rt, x, t)
                         if fs:

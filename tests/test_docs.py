@@ -1,8 +1,9 @@
 """The docstring examples of every module run as tests, the modules pass
-an import lint and a raise lint written with the standard library alone,
-and the README names every public name."""
+an import lint, a raise lint and a cache lint written with the standard
+library alone, and the README names every public name."""
 import ast
 import doctest
+import functools
 import importlib
 import pathlib
 import pkgutil
@@ -46,7 +47,6 @@ def test_modules_use_every_name_they_import():
 # each is the type a protocol requires of that function.
 PROTOCOL_RAISES = {
     ("tableio", "report_object", "TypeError"),  # the json.dumps default hook
-    ("core", "inner_map", "IndexError"),  # indexing a point outside the carrier
     ("cli", "_ascii_int", "argparse.ArgumentTypeError"),  # an argparse type
 }
 
@@ -72,6 +72,31 @@ def test_library_raises_only_rack_errors():
             if (path.stem, func, name) not in PROTOCOL_RAISES:
                 outside.append(f"{path.name}:{exc.lineno} {func} raises {name}")
     assert not outside
+
+
+# The module-level functions under functools.cache or lru_cache, as
+# (module, function, decorator), each with the bound on what it holds.
+# Per-table facts live on the table, not in caches keyed by whole tables.
+BOUNDED_CACHES = {
+    ("enumeration", "_cycles_row", "lru_cache(maxsize=None)"),  # closed forms of <= MAX_ORDER points
+    ("enumeration", "_centralizer", "lru_cache(maxsize=None)"),  # keyed by those closed forms
+    ("obstructions", "_factorize", "lru_cache(maxsize=4096)"),
+    ("cli", "build_parser", "cache"),  # no arguments: one entry
+}
+
+
+def test_module_level_caches_are_bounded():
+    found = set()
+    for path in SOURCES:
+        module = rackq if path.stem == "__init__" else importlib.import_module(f"rackq.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for deco in node.decorator_list:
+                name = ast.unparse(deco.func if isinstance(deco, ast.Call) else deco)
+                if eval(name, vars(module)) in (functools.cache, functools.lru_cache):
+                    found.add((path.stem, node.name, ast.unparse(deco)))
+    assert found == BOUNDED_CACHES
 
 
 def test_all_lists_exactly_the_imported_names():

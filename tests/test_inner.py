@@ -17,8 +17,6 @@ from rackq import (
     dihedral,
     hayashi_holds_for,
     is_indecomposable,
-    orbit_partition,
-    per_point_patterns,
     rack_profile,
     trivial,
 )
@@ -28,20 +26,20 @@ import oracles
 
 class TestOrbitPartition:
     def test_trivial_three_singletons(self):
-        parts = orbit_partition(trivial(3))
+        parts = trivial(3).orbits
         assert parts == (frozenset({0}), frozenset({1}), frozenset({2}))
 
     def test_dihedral5_single_orbit(self):
-        assert orbit_partition(dihedral(5)) == (frozenset(range(5)),)
+        assert dihedral(5).orbits == (frozenset(range(5)),)
 
     def test_dihedral4_parity_classes(self):
-        assert orbit_partition(dihedral(4)) == (frozenset({0, 2}), frozenset({1, 3}))
+        assert dihedral(4).orbits == (frozenset({0, 2}), frozenset({1, 3}))
 
     def test_matches_generator_and_inverse_closure(self, rack_reps):
         # Orbits computed with generators alone must agree with closure
         # under generators and inverses.
         for rt in rack_reps[4]:
-            for orbit in orbit_partition(rt):
+            for orbit in rt.orbits:
                 assert orbit == oracles.orbit_of(rt.rows, min(orbit))
 
 
@@ -61,7 +59,7 @@ class TestRackProfile:
         rt = dihedral(9)
         assert str(rack_profile(rt)) == "1^1 2^4"
         # One profile object per orbit, kept on the table.
-        assert rack_profile(rt) is rack_profile(rt) is per_point_patterns(rt)[0][1]
+        assert rack_profile(rt) is rack_profile(rt) is rt.patterns[0]
 
     def test_cyclic5(self):
         assert str(rack_profile(cyclic_rack(5))) == "5^1"
@@ -84,13 +82,13 @@ class TestRackProfile:
 
 class TestPerPointPatterns:
     def test_trivial3(self):
-        assert [str(p) for _, p in per_point_patterns(trivial(3))] == ["1^3"] * 3
+        assert [str(p) for p in trivial(3).patterns] == ["1^3"] * 3
 
     def test_dihedral4(self):
-        assert [str(p) for _, p in per_point_patterns(dihedral(4))] == ["1^2 2^1"] * 4
+        assert [str(p) for p in dihedral(4).patterns] == ["1^2 2^1"] * 4
 
     def test_dihedral5(self):
-        assert [str(p) for _, p in per_point_patterns(dihedral(5))] == ["1^1 2^2"] * 5
+        assert [str(p) for p in dihedral(5).patterns] == ["1^1 2^2"] * 5
 
 
 class TestDegree:
@@ -181,7 +179,7 @@ class TestTableAnalysis:
         calls = _count_cycle_lengths(monkeypatch)
         rt = dihedral(31)
         classify(rt)
-        per_point_patterns(rt)
+        rt.patterns
         rack_profile(rt)
         degree(rt)
         hayashi_holds_for(rt)
@@ -189,7 +187,7 @@ class TestTableAnalysis:
         for rt, orbits in ((dihedral(4), 2), (trivial(5), 5)):
             calls.clear()
             classify(rt)
-            per_point_patterns(rt)
+            rt.patterns
             assert len(calls) == orbits
 
     def test_connectivity_counts_no_cycles(self, monkeypatch):
@@ -219,7 +217,7 @@ class TestTableAnalysis:
             tables.extend(rack_reps[n])
         for rt in tables:
             rows = rt.rows
-            assert per_point_patterns(rt) == tuple((x, rq.pattern(row)) for x, row in enumerate(rows))
+            assert rt.patterns == tuple(map(rq.pattern, rows))
             assert classify(rt).degree == math.lcm(*(rq.order(row) for row in rows))
             if is_indecomposable(rt):
                 assert all(rack_profile(rt) == rq.pattern(row) for row in rows)

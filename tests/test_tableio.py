@@ -339,7 +339,7 @@ class TestEmitReport:
         assert emit_report(v) == emit_report(v)
 
     def test_orbit_partition_serialization(self):
-        payload = json.loads(emit_report(rq.orbit_partition(dihedral(4))))
+        payload = json.loads(emit_report(dihedral(4).orbits))
         assert payload == [[0, 2], [1, 3]]
 
     def test_unknown_type_is_a_type_error(self):
