@@ -18,7 +18,7 @@ from functools import cache
 from . import constructors
 from .enumeration import EnumerationFilter, census
 from .errors import RackError
-from .inner import classify, rack_profile
+from .inner import NotIndecomposable, classify, rack_profile
 from .core import subrack_closure
 from .obstructions import SCOPE_RACKS, SCOPES, full_verdict, hayashi_check, parse_profile
 from .perm import from_cycles
@@ -105,7 +105,10 @@ def _cmd_hayashi(args) -> int:
     if args.profile is not None:
         pf = parse_profile(args.profile)
     else:
-        pf = rack_profile(_load(args.table))
+        try:
+            pf = rack_profile(_load(args.table))
+        except NotIndecomposable as exc:
+            raise RackError(f"{exc}; rackq profile --per-point gives per-point patterns") from exc
     print(emit_report({"profile": str(pf), "holds": hayashi_check(pf)}))
     return 0
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import RackError
@@ -38,6 +38,7 @@ class ProfileError(RackError):
     """A refused profile string; the message names the bad term, if any."""
 
 
+_SEPARATOR = re.compile(r"[.\s]+")
 _TERM = re.compile(r"([0-9]+)(?:\^([0-9]+))?\Z")
 
 
@@ -48,7 +49,7 @@ def parse_profile(text: str) -> CycleProfile:
     ``L^M``.  At most one term may have L=1, and it populates m0.  A
     numeral too long for ``int()`` is reported with its term's position.
     """
-    terms = [t for t in re.split(r"[.\s]+", text.strip()) if t]
+    terms = [t for t in _SEPARATOR.split(text.strip()) if t]
     if not terms:
         raise ProfileError("empty profile")
     by_length: dict[int, int] = {}
@@ -284,16 +285,15 @@ def prop315_verdict(pf: CycleProfile) -> ObstructionVerdict:
         return ObstructionVerdict(NOT_APPLICABLE, SCOPE_CROSSED_SETS, None, ("Prop315",))
     l1, l2, l3 = lengths
     mutual_nondivision = l2 % l1 != 0 and l3 % l1 != 0 and l3 % l2 != 0
-    trio = (l1, l2, l3)
     each_divides_other_lcm = all(
-        math.lcm(trio[(k + 1) % 3], trio[(k + 2) % 3]) % trio[k] == 0 for k in range(3)
+        math.lcm(lengths[(k + 1) % 3], lengths[(k + 2) % 3]) % lengths[k] == 0 for k in range(3)
     )
     if mutual_nondivision and each_divides_other_lcm:
         witness = decompose_lengths(l1, l2, l3)
         return ObstructionVerdict(EXCLUDED_PROP315, SCOPE_CROSSED_SETS, witness, ("Prop315",))
     if mutual_nondivision:
-        deferred = prop35_verdict(pf)
-        return replace(deferred, rules_consulted=("Prop315", "Prop35"))
+        v = prop35_verdict(pf)
+        return ObstructionVerdict(v.kind, v.scope, v.witness, ("Prop315", "Prop35"))
     return ObstructionVerdict(NOT_EXCLUDED, SCOPE_CROSSED_SETS, None, ("Prop315",))
 
 
@@ -321,5 +321,5 @@ def full_verdict(pf: CycleProfile, scope: str = SCOPE_RACKS) -> ObstructionVerdi
         v = rule(pf)
         consulted.append(v.rules_consulted[0])
         if v.excluded:
-            return replace(v, rules_consulted=tuple(consulted))
+            return ObstructionVerdict(v.kind, v.scope, v.witness, tuple(consulted))
     return ObstructionVerdict(NOT_EXCLUDED, scope, None, tuple(consulted))

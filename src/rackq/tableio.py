@@ -20,6 +20,7 @@ from operator import itemgetter, sub
 from .core import RackTable, validate
 from .enumeration import CensusReport
 from .errors import RackError
+from .obstructions import ObstructionVerdict
 from .perm import CycleProfile
 
 
@@ -171,11 +172,14 @@ def emit_table(table, name: str | None = None, source: str | None = None) -> str
 def report_object(value):
     """One level of a domain value as JSON data.
 
-    A dataclass becomes an object of its fields in declaration order, except
-    the types whose JSON is not their fields, which have their own branch.
-    :func:`emit_report` hands this to ``json.dumps``, which calls it for
+    A dataclass becomes an object of its fields in declaration order; verdicts,
+    and the types whose JSON is not their fields, have a branch of their own.
+    :func:`emit_report` hands this to the shared encoder, which calls it for
     each value it cannot encode itself and encodes what it returns.
     """
+    if isinstance(value, ObstructionVerdict):
+        return {"kind": value.kind, "scope": value.scope, "witness": value.witness,
+                "rules_consulted": value.rules_consulted}
     if isinstance(value, CycleProfile):
         return {
             "m0": value.m0,
@@ -203,6 +207,9 @@ def report_object(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+_ENCODER = json.JSONEncoder(default=report_object, separators=(",", ":"))  # json.dumps's settings
+
+
 def emit_report(value) -> str:
     """Serialize a domain value as compact JSON with stable field order."""
-    return json.dumps(value, default=report_object, separators=(",", ":"))
+    return _ENCODER.encode(value)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import settings
 
@@ -63,3 +65,21 @@ def decomposable_tables():
     }
     tables["20 x dihedral(3)"] = rq.RackTable(60, union)
     return tables
+
+
+@pytest.fixture(scope="session")
+def profile_sweep():
+    """Every set of one to three lengths in 2..15, with no fixed point and
+    with one, then the four-length sets in 2..12, the three-length sets with
+    multiplicities (1, 2, 1), and the divisor-closed sets of 60, 120 and 360
+    (full Cor34 runs): 1,635 profiles on which the verdicts of both scopes
+    reach all four kinds of ``full_verdict`` and ``prop315_verdict`` also
+    reaches ``NotApplicable``."""
+    sets = [c for k in (1, 2, 3) for c in combinations(range(2, 16), k)]
+    profiles = [rq.CycleProfile(fixed + tuple((l, 1) for l in ls))
+                for ls in sets for fixed in ((), ((1, 1),))]
+    profiles += [rq.CycleProfile(tuple((l, 1) for l in ls)) for ls in combinations(range(2, 13), 4)]
+    profiles += [rq.CycleProfile(tuple(zip(ls, (1, 2, 1)))) for ls in combinations(range(2, 16), 3)]
+    for n in (60, 120, 360):
+        profiles.append(rq.CycleProfile(tuple((d, 1) for d in range(2, n + 1) if n % d == 0)))
+    return profiles

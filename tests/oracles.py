@@ -3,12 +3,15 @@
 Everything here deliberately avoids the package's own search and
 canonicalization machinery, so agreement between the two is meaningful.
 """
+import json
 import math
+from dataclasses import fields, replace
 from functools import lru_cache
 from itertools import permutations, product
 from operator import itemgetter
 
 import rackq as rq
+from rackq.tableio import report_object
 
 
 def is_rack_table(rows) -> bool:
@@ -661,3 +664,45 @@ def subrack_closure_pairs(r, seed):
         members |= new
         fresh.extend(new)
     return frozenset(members)
+
+
+def _report_object_by_fields(value):
+    """``report_object`` before verdicts had a branch of their own: a
+    verdict went through the dataclass branch, read by ``fields``."""
+    if isinstance(value, rq.ObstructionVerdict):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    return report_object(value)
+
+
+def emit_report_dumps(value):
+    """``rackq.emit_report`` as first built: ``json.dumps``, which builds an
+    encoder with these settings on every call."""
+    return json.dumps(value, default=_report_object_by_fields, separators=(",", ":"))
+
+
+def prop315_verdict_by_replace(pf):
+    """``rackq.prop315_verdict`` as first built: the deferred branch takes
+    the contiguous-split verdict and relabels it with ``replace``.  It is
+    reached when three lengths of multiplicity one divide no later length
+    but one of them fails to divide the lcm of the other two."""
+    ls = pf.moving_lengths()
+    if len(ls) == 3 and set(pf.moving_mults()) == {1}:
+        nondividing = all(ls[j] % ls[i] for i in range(3) for j in range(i + 1, 3))
+        if nondividing and any(math.lcm(*ls) != math.lcm(*ls[:k], *ls[k + 1:]) for k in range(3)):
+            return replace(rq.prop35_verdict(pf), rules_consulted=("Prop315", "Prop35"))
+    return rq.prop315_verdict(pf)
+
+
+def full_verdict_by_replace(pf, scope):
+    """``rackq.full_verdict`` as first built: the first exclusion is
+    relabelled with ``replace`` to list every rule consulted."""
+    rules = [rq.prop35_verdict, rq.cor34_verdict]
+    if scope == "crossed-sets":
+        rules.append(prop315_verdict_by_replace)
+    consulted = []
+    for rule in rules:
+        v = rule(pf)
+        consulted.append(v.rules_consulted[0])
+        if v.excluded:
+            return replace(v, rules_consulted=tuple(consulted))
+    return rq.ObstructionVerdict("NotExcluded", scope, None, tuple(consulted))

@@ -329,6 +329,16 @@ class TestHayashi:
         assert code_table == code_profile == 0
         assert from_table == from_profile == '{"profile":"1^1 2^4","holds":true}\n'
 
+    def test_decomposable_table_names_a_command(self, capsys, monkeypatch):
+        _, table_text, _ = run(capsys, "make", "trivial", "3")
+        code, out, err = run_with_stdin(capsys, monkeypatch, table_text, "hayashi", "-")
+        assert (code, out) == (1, "")
+        assert err == (
+            "rack is decomposable, so it has no single profile; "
+            "use RackTable.patterns for the pattern of every translation; "
+            "rackq profile --per-point gives per-point patterns\n"
+        )
+
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "hayashi")
         assert code == 1

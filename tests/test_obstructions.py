@@ -280,6 +280,26 @@ class TestProp315:
         assert v.rules_consulted == ("Prop315", "Prop35")
 
 
+class TestVerdictRecords:
+    """Verdicts built directly equal the ``replace``-relabelled ones."""
+
+    def test_full_verdict_matches_replace(self, profile_sweep):
+        for pf in profile_sweep:
+            for scope in ("racks", "crossed-sets"):
+                v = full_verdict(pf, scope)
+                assert v == oracles.full_verdict_by_replace(pf, scope)
+                assert type(v.rules_consulted) is tuple
+
+    def test_prop315_verdict_matches_replace(self, profile_sweep):
+        deferred = 0
+        for pf in profile_sweep:
+            v = prop315_verdict(pf)
+            assert v == oracles.prop315_verdict_by_replace(pf)
+            assert type(v.rules_consulted) is tuple
+            deferred += v.rules_consulted == ("Prop315", "Prop35")
+        assert deferred > 0
+
+
 class TestHayashiCheck:
     def test_case_profiles(self):
         assert hayashi_check(parse_profile("1^2.2^2.3^4.6^4"))

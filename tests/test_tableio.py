@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 from dataclasses import replace
 from itertools import product
 
@@ -345,3 +347,93 @@ class TestEmitReport:
     def test_unknown_type_is_a_type_error(self):
         with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
             emit_report(object())
+        with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+            oracles.emit_report_dumps(object())
+
+
+def sweep_verdicts(profiles):
+    """Both scopes of ``full_verdict`` and ``prop315_verdict`` alone, per
+    profile."""
+    return [
+        verdict
+        for pf in profiles
+        for verdict in (
+            rq.full_verdict(pf, "racks"),
+            rq.full_verdict(pf, "crossed-sets"),
+            rq.prop315_verdict(pf),
+        )
+    ]
+
+
+class TestEmitReportMatchesDumps:
+    """The shared encoder writes the bytes ``json.dumps`` wrote, with a
+    verdict read through ``dataclasses.fields``."""
+
+    def test_verdicts_of_the_sweep(self, profile_sweep):
+        verdicts = sweep_verdicts(profile_sweep)
+        assert {v.kind for v in verdicts} == {
+            "ExcludedProp35", "ExcludedCor34", "ExcludedProp315", "NotExcluded", "NotApplicable",
+        }
+        for v in verdicts:
+            assert emit_report(v) == oracles.emit_report_dumps(v)
+
+    def test_prop315_records(self):
+        pfs = [rq.parse_profile(text) for text in ("10 12 15", "2 3 5", "6 10 15", "2 4", "2 4 8")]
+        verdicts = [rq.prop315_verdict(pf) for pf in pfs]
+        assert [(v.kind, v.rules_consulted) for v in verdicts] == [
+            ("NotExcluded", ("Prop315", "Prop35")),
+            ("ExcludedProp35", ("Prop315", "Prop35")),
+            ("ExcludedProp315", ("Prop315",)),
+            ("NotApplicable", ("Prop315",)),
+            ("NotExcluded", ("Prop315",)),
+        ]
+        assert emit_report(verdicts[0]) == (
+            '{"kind":"NotExcluded","scope":"racks","witness":null,'
+            '"rules_consulted":["Prop315","Prop35"]}'
+        )
+        for v in verdicts:
+            assert emit_report(v) == oracles.emit_report_dumps(v)
+
+    def test_other_values(self):
+        values = [
+            rq.decompose_lengths(6, 10, 15),
+            rq.decompose_lengths(4, 6, 9),
+            rq.parse_profile("1^2.2^2.3^4.6^4"),
+            rq.classify(dihedral(5)),
+            frozenset({3, 1, 2}),
+            [rq.pattern(row) for row in dihedral(12).rows],
+            {"order": 4, "flags": rq.classify(dihedral(4))},
+            parse_table("# name: Diedergruppe \u00e4\n# source: \u03a3\u2080\n" + DIHEDRAL3_TEXT),
+        ]
+        values += [
+            rq.census(n, rq.EnumerationFilter(*flags))
+            for n in range(1, 6)
+            for flags in product((False, True), repeat=4)
+        ]
+        for value in values:
+            assert emit_report(value) == oracles.emit_report_dumps(value)
+
+    def test_shared_encoder_across_threads(self, profile_sweep):
+        # Four threads, more than the cores of a small machine, switching as
+        # often as the interpreter allows.
+        verdicts = sweep_verdicts(profile_sweep)
+        expected = [emit_report(v) for v in verdicts]
+        start = threading.Barrier(4, timeout=10)
+        results = [None] * 4
+
+        def encode_all(slot):
+            start.wait()
+            results[slot] = [emit_report(v) for v in verdicts]
+
+        threads = [threading.Thread(target=encode_all, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4
