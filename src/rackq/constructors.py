@@ -9,13 +9,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import itemgetter, mul
+from itertools import accumulate, chain, count, islice, repeat
+from operator import add, itemgetter, mod, mul
 from typing import Iterable
 
 from .core import RackTable, check_carrier_size
 from .errors import RackError
-from .perm import Perm, checked, compose, cycle_lengths, inverse
+from .perm import Perm, checked, cycle_lengths, inverse
 
 
 class NonInvertibleAlpha(RackError):
@@ -102,19 +102,27 @@ class AffineSpec:
 
 def _images(moduli: tuple[int, ...], matrix) -> list[list[int]]:
     """For each output coordinate i, (sum_j matrix[i][j] * k_j) mod n_i at
-    every index k, built one input coordinate at a time."""
+    every index k.  The first coordinate's values are one arithmetic
+    progression; each later coordinate j repeats the values so far n_j
+    times, the t-th copy shifted by matrix[i][j] * t.  Every step is a
+    C-level ``map``, so the Python work is constant per (i, j)."""
     images = []
     for n_i, row in zip(moduli, matrix):
-        values = [0]
-        for a, n_j in zip(row, moduli):
-            values = [(v + a * t) % n_i for t in range(n_j) for v in values]
+        values = list(map(mod, islice(count(0, row[0]), moduli[0]), repeat(n_i)))
+        for a, n_j in zip(row[1:], moduli[1:]):
+            steps = chain.from_iterable(map(repeat, islice(count(0, a), n_j), repeat(len(values))))
+            values = list(map(mod, map(add, values * n_j, steps), repeat(n_i)))
         images.append(values)
     return images
 
 
 def _indices(images: list[list[int]], strides) -> list[int]:
-    """The index of every element whose coordinates are ``images``."""
-    return list(map(sum, zip(*([v * s for v in values] for values, s in zip(images, strides)))))
+    """The index of every element whose coordinates are ``images``,
+    accumulated from the first coordinate, whose stride is 1."""
+    indices = images[0]
+    for values, s in zip(images[1:], strides[1:]):
+        indices = list(map(add, indices, map(mul, values, repeat(s))))
+    return indices
 
 
 def affine(spec: AffineSpec) -> RackTable:
@@ -130,9 +138,12 @@ def affine(spec: AffineSpec) -> RackTable:
     along the last, slowest coordinate rotates the whole index range, so
     R_d is a slice of R_e + R_e, e being d with last coordinate 0.  Only
     the n / n_last rows R_e are gathered, with m itemgetter gathers each
-    (none on Z_n, where R_0 is alpha).  Cost: O(n*m) Python work for the
-    index arrays, O(n^2*m / n_last) C-level work for the R_e, and one
-    slice per row.
+    (none on Z_n, where R_0 is alpha).  R_d(0) = alpha(d), so the R_d are
+    keyed by their first entry and row x is the one keyed by
+    (1 - alpha)(x): alpha is never inverted.  Cost: the index arrays of
+    alpha and 1 - alpha are C-level maps over the n points, with O(m^2)
+    Python steps; the R_e take O(n / n_last) Python steps and
+    O(n^2*m / n_last) C-level work; each row is one slice.
     """
     n, moduli = spec.size, spec.moduli
     check_carrier_size(n)
@@ -147,17 +158,21 @@ def affine(spec: AffineSpec) -> RackTable:
     shift = _indices(_images(moduli, shift_matrix), strides)
     span = n // moduli[-1]  # the indices whose last coordinate is 0
     bases = [tuple(alpha)]
+    # scaled[i][c : c + n_i] maps v to (v + c) % n_i * stride_i.
+    scaled = [tuple(range(0, m * s, s)) * 2 for m, s in zip(moduli, strides)]
     gathers = [itemgetter(*values) for values in images]
     for e in range(1, span):
         # R_e(z) = alpha(e) + alpha(z), added coordinate by coordinate.
         parts = (
-            gather(tuple((v + values[e]) % m * s for v in range(m)))
-            for gather, values, m, s in zip(gathers, images, moduli, strides)
+            gather(steps[values[e] : values[e] + m])
+            for gather, steps, values, m in zip(gathers, scaled, images, moduli)
         )
         bases.append(tuple(map(sum, zip(*parts))))
     doubled = [base + base for base in bases]
-    starts = ((d % span, d - d % span) for d in map(inverse(alpha).__getitem__, shift))
-    return RackTable(n, tuple(doubled[e][s : s + n] for e, s in starts))
+    # R_d for d = e + k * span is doubled[e] read from k * span, so d runs
+    # through e fastest; alpha lists alpha(d) in the same order.
+    by_image = dict(zip(alpha, (base[s : s + n] for s in range(0, n, span) for base in doubled)))
+    return RackTable(n, tuple(map(by_image.__getitem__, shift)))
 
 
 CLASS_SIZE_GUARD = 10_000
@@ -197,33 +212,52 @@ def conjugation_class_quandle(degree: int, rep: Perm) -> RackTable:
     from the cycle type of ``rep`` before building any of it.
 
     A BFS under conjugation by the adjacent transpositions t_i = (i i+1),
-    which generate the group, records each member's parent and t_i.  With
-    c_i the class-index array of conjugation by t_i, row(t_i m t_i) is
-    c_i o row(m) o c_i (Joyce, JPAA 23, 1982): only the representative's
-    row is composed, and each other row is two itemgetter gathers of its
-    parent's.  Cost for N members: O(N*d^2) Python work for the BFS and
-    the c_i, and O(N^2) C-level work for the rows.
+    which generate the group, records each member's parent and t_i, and
+    the BFS position of t_i m t_i for every member m.  Conjugation by t_i
+    is an involution, so each pair {m, t_i m t_i} is conjugated once and
+    gives both entries.  With c_i the class-index array of conjugation by
+    t_i, read off those positions, row(t_i m t_i) is c_i o row(m) o c_i
+    (Joyce, JPAA 23, 1982), two itemgetter gathers of its parent's row.
+    The representative's row gathers every member's entries through rep
+    and its columns through rep^-1, then looks the conjugates up.  Cost
+    for N members: at most (d-1)*N calls of O(d) Python work for the
+    BFS, and O(N*d) C-level work for the representative's row and O(N^2)
+    for the others.
     """
     rep = checked(rep)
     if len(rep) != degree:
         raise RackError(f"representative acts on {len(rep)} points, expected {degree}")
     check_class_size(degree, cycle_lengths(rep))
-    tree = {rep: None}
+    position = {rep: 0}
     order = [rep]
-    for g in order:
-        for i in range(degree - 1):
+    parent = [None]
+    # moves[i][p] is the BFS position of t_i g t_i, g being order[p].
+    moves: list[dict[int, int]] = [{} for _ in range(degree - 1)]
+    for p, g in enumerate(order):
+        for i, move in enumerate(moves):
+            if p in move:
+                continue
             h = _conjugate(g, i)
-            if h is not g and h not in tree:
-                tree[h] = (g, i)
+            q = p if h is g else position.get(h)  # no hash of d entries when t_i commutes
+            if q is None:
+                q = position[h] = len(order)
                 order.append(h)
-    carrier = sorted(tree)
-    index = {g: k for k, g in enumerate(carrier)}
-    labels = {edge[1] for edge in tree.values() if edge}
-    conj = {i: tuple(index[_conjugate(g, i)] for g in carrier) for i in labels}
+                parent.append((p, i))
+            move[p], move[q] = q, p
+    n = len(order)
+    by_rank = sorted(range(n), key=order.__getitem__)  # BFS positions, carrier order
+    rank = inverse(by_rank)
+    conj = {
+        i: tuple(map(rank.__getitem__, map(moves[i].__getitem__, by_rank)))
+        for i in {edge[1] for edge in parent[1:]}
+    }
     gathers = {i: itemgetter(*c) for i, c in conj.items()}
-    rep_inv = inverse(rep)
-    rows = {rep: tuple(index[compose(rep, compose(h, rep_inv))] for h in carrier)}
-    for h in order[1:]:
-        g, i = tree[h]
-        rows[h] = itemgetter(*gathers[i](rows[g]))(conj[i])
-    return RackTable(len(carrier), tuple(rows[g] for g in carrier))
+    # rep h rep^-1 reads rep at the entries of h, taken in the order rep^-1.
+    entries = list(map(rep.__getitem__, chain.from_iterable(map(order.__getitem__, by_rank))))
+    conjugates = zip(*[entries[j::degree] for j in inverse(rep)])
+    rows = [None] * n
+    rows[rank[0]] = tuple(map(rank.__getitem__, map(position.__getitem__, conjugates)))
+    for p in range(1, n):
+        q, i = parent[p]
+        rows[rank[p]] = itemgetter(*gathers[i](rows[rank[q]]))(conj[i])
+    return RackTable(n, tuple(rows))

@@ -18,7 +18,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .errors import RackError
-from .perm import CycleProfile, is_permutation, pattern, power
+from .perm import CycleProfile, pattern, power
 
 
 class TableValidationError(RackError):
@@ -134,6 +134,12 @@ def validate(n: int, raw_table) -> RackTable:
     non-bijective row, then :class:`R2Violation` with the first failing
     triple.  Error witnesses are therefore deterministic.
 
+    This function is the input gate: it checks the shape and that every
+    entry is an int in 0..n-1.  One routine then checks the axioms, and
+    :meth:`rackq.tableio.TableDocument.to_rack` calls it directly on rows
+    it has built from such ints.  R1 takes one set per row, since n
+    entries in range form a permutation exactly when they differ.
+
     R2 says every row is an automorphism.  Once the rows of a set A have
     passed, the subrack that A generates is the orbit of A under the group
     of those rows, since r_{g(b)} = g r_b g⁻¹ for every g in it; and all of
@@ -157,15 +163,20 @@ def validate(n: int, raw_table) -> RackTable:
     if len(rows) != n or any(len(row) != n for row in rows):
         raise RackError(f"expected an {n}x{n} table")
     carrier = set(range(n))
-    if not all(set(map(type, row)) == {int} and set(row) == carrier for row in rows):
-        # Some row is not a permutation of ints: scan entry by entry for the witness.
+    if not all(set(map(type, row)) == {int} and carrier.issuperset(row) for row in rows):
+        # Some entry is not an int in range: scan entry by entry for the witness.
         for x, row in enumerate(rows):
             for y, v in enumerate(row):
                 if not isinstance(v, int) or not 0 <= v < n:
                     raise OutOfRangeEntry(x, y, v, n)
-        for x, row in enumerate(rows):
-            if not is_permutation(row):
-                raise R1Violation(x)
+    return _checked_rack(n, rows)
+
+
+def _checked_rack(n: int, rows: tuple[tuple[int, ...], ...]) -> RackTable:
+    """R1, then R2, on n rows of n ints in 0..n-1, as :func:`validate`
+    describes; the rack on success."""
+    if min(map(len, map(set, rows))) < n:
+        raise R1Violation(next(x for x, row in enumerate(rows) if len(set(row)) < n))
     # get[y](r) reads r at the entries of row y, so get[y](r_x) is r_x r_y.
     get = [itemgetter(*row) for row in rows]
     for x in _generators(rows, range(n), set()):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from itertools import repeat
 from operator import itemgetter, sub
 
-from .core import RackTable, validate
+from .core import RackTable, _checked_rack, validate
 from .enumeration import CensusReport
 from .errors import RackError
 from .obstructions import ObstructionVerdict
@@ -46,19 +46,22 @@ class TableDocument:
     def to_rack(self) -> RackTable:
         """Shift to 0-based and run full axiom validation.
 
-        A row is one gather over a dict of 1..n; a hand-built table with an
-        entry outside it, of the wrong size or of order 1 (a scalar gather)
-        is shifted entry by entry, so :func:`validate` reports the fault.
+        A row is one gather over a dict of 1..n, so an n x n table comes out
+        as ints in 0..n-1 and goes straight to the axiom check, past
+        :func:`validate`'s input gate.  A hand-built table with an entry
+        outside 1..n, of the wrong shape or of order 1 (a scalar gather) is
+        shifted entry by entry, so :func:`validate` reports the fault.
         """
         n, rows = self.order, self.rows
         if 1 < n == len(rows):
             shift = dict(zip(range(1, n + 1), range(n)))
             try:
-                shifted = [itemgetter(*row)(shift) for row in rows]
+                square = set(map(len, rows)) == {n}
+                shifted = tuple(itemgetter(*row)(shift) for row in rows)
             except (KeyError, TypeError):
-                pass
-            else:
-                return validate(n, shifted)
+                square = False
+            if square:
+                return _checked_rack(n, shifted)
         return validate(n, [tuple(map(sub, row, repeat(1))) for row in rows])
 
 

@@ -7,8 +7,8 @@ import json
 import math
 from dataclasses import fields, replace
 from functools import lru_cache
-from itertools import permutations, product
-from operator import itemgetter
+from itertools import accumulate, permutations, product
+from operator import itemgetter, mul
 
 import rackq as rq
 from rackq.tableio import report_object
@@ -462,6 +462,90 @@ def conjugation_class_bfs(degree, rep):
         ginv = rq.inverse(g)
         rows.append(tuple(index[rq.compose(g, rq.compose(h, ginv))] for h in carrier))
     return rq.RackTable(len(carrier), tuple(rows))
+
+
+def _affine_images_per_point(moduli, matrix):
+    images = []
+    for n_i, row in zip(moduli, matrix):
+        values = [0]
+        for a, n_j in zip(row, moduli):
+            values = [(v + a * t) % n_i for t in range(n_j) for v in values]
+        images.append(values)
+    return images
+
+
+def _affine_indices_per_point(images, strides):
+    return list(map(sum, zip(*([v * s for v in values] for values, s in zip(images, strides)))))
+
+
+def affine_per_point(spec):
+    """``rackq.affine`` before its index arrays were built by ``map``: the
+    images and indices go point by point in Python, alpha is inverted by a
+    walk over every point and each row start comes from a generator."""
+    n, moduli = spec.size, spec.moduli
+    rq.core.check_carrier_size(n)
+    strides = list(accumulate(moduli, mul, initial=1))
+    images = _affine_images_per_point(moduli, spec.alpha)
+    alpha = _affine_indices_per_point(images, strides)
+    if len(set(alpha)) != n:
+        if len(moduli) == 1:
+            raise rq.NonInvertibleAlpha(f"alpha={spec.alpha[0][0] % n} is not invertible mod {n}")
+        raise rq.NonInvertibleAlpha(f"alpha={spec.alpha!r} is not a bijection on the group")
+    shift_matrix = [[(i == j) - a for j, a in enumerate(row)] for i, row in enumerate(spec.alpha)]
+    shift = _affine_indices_per_point(_affine_images_per_point(moduli, shift_matrix), strides)
+    span = n // moduli[-1]
+    bases = [tuple(alpha)]
+    gathers = [itemgetter(*values) for values in images]
+    for e in range(1, span):
+        parts = (
+            gather(tuple((v + values[e]) % m * s for v in range(m)))
+            for gather, values, m, s in zip(gathers, images, moduli, strides)
+        )
+        bases.append(tuple(map(sum, zip(*parts))))
+    doubled = [base + base for base in bases]
+    starts = ((d % span, d - d % span) for d in map(rq.inverse(alpha).__getitem__, shift))
+    return rq.RackTable(n, tuple(doubled[e][s : s + n] for e, s in starts))
+
+
+def conjugate_adjacent(g, i):
+    """t g t for the adjacent transposition t = (i i+1), as ``rackq``'s
+    constructors compute it."""
+    if {g[i], g[i + 1]} == {i, i + 1}:
+        return g
+    h = list(g)
+    h[i], h[i + 1] = g[i + 1], g[i]
+    a, b = h.index(i), h.index(i + 1)
+    h[a], h[b] = i + 1, i
+    return tuple(h)
+
+
+def conjugation_class_composed(degree, rep):
+    """``rackq.conjugation_class_quandle`` before it kept the BFS's
+    conjugates: the class-index arrays conjugate every member again, and
+    the representative's row is 2N ``compose`` calls."""
+    rep = rq.perm.checked(rep)
+    if len(rep) != degree:
+        raise rq.RackError(f"representative acts on {len(rep)} points, expected {degree}")
+    rq.constructors.check_class_size(degree, rq.perm.cycle_lengths(rep))
+    tree = {rep: None}
+    order = [rep]
+    for g in order:
+        for i in range(degree - 1):
+            h = conjugate_adjacent(g, i)
+            if h is not g and h not in tree:
+                tree[h] = (g, i)
+                order.append(h)
+    carrier = sorted(tree)
+    index = {g: k for k, g in enumerate(carrier)}
+    labels = {edge[1] for edge in tree.values() if edge}
+    conj = {i: tuple(index[conjugate_adjacent(g, i)] for g in carrier) for i in labels}
+    gathers = {i: itemgetter(*c) for i, c in conj.items()}
+    rep_inv = rq.inverse(rep)
+    rows = {rep: tuple(index[rq.compose(rep, rq.compose(h, rep_inv))] for h in carrier)}
+    for h in order[1:]:
+        g, i = tree[h]
+        rows[h] = itemgetter(*gathers[i](rows[g]))(conj[i])
+    return rq.RackTable(len(carrier), tuple(rows[g] for g in carrier))
 
 
 def validate_cubic(n, raw_table):

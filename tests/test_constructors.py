@@ -87,9 +87,21 @@ def factors_through(moduli, alpha):
     )
 
 
+def outcome(build, *args):
+    """The table ``build`` returns, or the type and message of the
+    ``RackError`` it raises."""
+    try:
+        return build(*args)
+    except rq.RackError as exc:
+        return type(exc), str(exc)
+
+
 def assert_same_affine(spec):
-    """affine() and the two-branch reference give the same table bytes, or
-    the same error type and message.  Returns whether a table was built."""
+    """affine() gives the table or error of the code it replaced, kept as
+    ``oracles.affine_per_point``, and the same table bytes or error type
+    and message as the two-branch reference.  Returns whether a table was
+    built."""
+    assert outcome(affine, spec) == outcome(oracles.affine_per_point, spec), spec
     try:
         want = emit_table(oracles.affine_two_branch(spec))
     except NonInvertibleAlpha as exc:
@@ -170,6 +182,14 @@ class TestAffine:
         for n in range(1, 61):
             for a in range(-1, n + 1):
                 assert_same_affine(AffineSpec((n,), ((a,),)))
+
+    def test_cyclic_groups_match_per_point_code(self):
+        # Every multiplier in -n..2n, so alpha is reduced mod n on both
+        # sides of zero and non-units reach NonInvertibleAlpha.
+        for n in range(1, 61):
+            for a in range(-n, 2 * n + 1):
+                spec = AffineSpec((n,), ((a,),))
+                assert outcome(affine, spec) == outcome(oracles.affine_per_point, spec), spec
 
     @pytest.mark.slow
     def test_large_cyclic_groups_match_two_branch_reference(self):
@@ -264,12 +284,30 @@ def cycle_type_reps(degree):
 
 def assert_same_classes(degree):
     """Every cycle type on ``degree`` points gives the same table bytes as
-    the transposition-closure reference."""
+    the transposition-closure reference, and the same table as the code
+    it replaced, kept as ``oracles.conjugation_class_composed``."""
     reps = list(cycle_type_reps(degree))
     assert len({rq.pattern(rep) for rep in reps}) == (1, 1, 2, 3, 5, 7, 11, 15)[degree]
     for rep in reps:
-        want = emit_table(oracles.conjugation_class_bfs(degree, rep))
-        assert emit_table(conjugation_class_quandle(degree, rep)) == want, rep
+        got = conjugation_class_quandle(degree, rep)
+        assert got == oracles.conjugation_class_composed(degree, rep), rep
+        assert emit_table(got) == emit_table(oracles.conjugation_class_bfs(degree, rep)), rep
+
+
+def conjugate_calls(degree, rep):
+    """How many times conjugation_class_quandle calls ``_conjugate``."""
+    calls = 0
+    conjugate = rq.constructors._conjugate
+
+    def counting(g, i):
+        nonlocal calls
+        calls += 1
+        return conjugate(g, i)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rq.constructors, "_conjugate", counting)
+        conjugation_class_quandle(degree, rep)
+    return calls
 
 
 class TestConjugationClass:
@@ -309,6 +347,32 @@ class TestConjugationClass:
     @pytest.mark.slow
     def test_every_cycle_type_of_s7_matches_reference(self):
         assert_same_classes(7)
+
+    def test_errors_match_composed_code(self):
+        cases = [(4, (1, 0, 2)), (3, (0, 0, 1)), (3, (1, 2)), (0, ()),
+                 (9, tuple(range(1, 9)) + (0,)), (1000, (1, 0, *range(2, 1000)))]
+        for degree, rep in cases:
+            want = outcome(oracles.conjugation_class_composed, degree, rep)
+            assert isinstance(want, tuple), (degree, rep)
+            assert outcome(conjugation_class_quandle, degree, rep) == want, (degree, rep)
+
+    def test_each_member_is_conjugated_once_per_transposition(self):
+        # The BFS conjugates by every t_i; the class-index arrays and the
+        # representative's row reuse what it found.  Conjugation by t_i is
+        # an involution, so {m, t_i m t_i} is conjugated once: the calls
+        # are sum over i of (N + f_i) / 2, f_i the members that commute
+        # with t_i, and never more than (d - 1) * N.  Computing the arrays
+        # again would double this, which no time bound would see.
+        for degree in range(4, 7):
+            for rep in cycle_type_reps(degree):
+                members = {rq.compose(p, rq.compose(rep, rq.inverse(p))) for p in permutations(range(degree))}
+                if len(members) == 1:
+                    continue
+                fixed = [sum(g[i] in (i, i + 1) and g[i + 1] in (i, i + 1) for g in members)
+                         for i in range(degree - 1)]
+                calls = conjugate_calls(degree, rep)
+                assert calls == sum((len(members) + f) // 2 for f in fixed), rep
+                assert calls <= (degree - 1) * len(members), rep
 
     def test_large_class_rows_are_conjugations(self):
         # The (4,2) class of S_8: 8!/(4*2) = 2,520 members, so 6.35 million

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 import threading
 from dataclasses import replace
@@ -214,6 +215,89 @@ class TestParseFastPath:
         # The row count is checked before anything of size n is built.
         with pytest.raises(TableParseError, match=r"^line 3: expected 1000000000000 table rows, found 2$"):
             parse_table(f"{10**12}\n1 2\n2 1\n")
+
+
+class TestToRackChecksAxiomsDirectly:
+    """A document of n rows of n entries in 1..n is shifted by one lookup
+    into ints in 0..n-1, which go to the axiom check without
+    ``validate``'s input gate; any other goes through ``validate``.  Both
+    must give the table or the error and witness of the cubic scan kept as
+    ``oracles.validate_cubic``."""
+
+    @staticmethod
+    def outcome(check, *args):
+        try:
+            return check(*args)
+        except rq.RackError as exc:
+            return type(exc).__name__, str(exc), vars(exc)
+
+    def assert_same(self, rows):
+        n = len(rows)
+        doc = rq.TableDocument(n, tuple(tuple(v + 1 for v in row) for row in rows))
+        assert self.outcome(doc.to_rack) == self.outcome(oracles.validate_cubic, n, rows), rows
+
+    @staticmethod
+    def validate_calls(doc):
+        calls = []
+        validate = rq.tableio.validate
+
+        def recording(n, rows):
+            calls.append(n)
+            return validate(n, rows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rq.tableio, "validate", recording)
+            try:
+                doc.to_rack()
+            except rq.RackError:
+                pass
+        return len(calls)
+
+    def test_families_and_their_defects(self, family_tables):
+        # A swap inside a row keeps R1 and may break R2; a copied row, a
+        # random row and an entry past either end break R1 or the range.
+        rng = random.Random(24)
+        for rt in family_tables.values():
+            n = rt.n
+            self.assert_same(rt.rows)
+            for _ in range(4):
+                x, y, z = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                edits = [list(map(list, rt.rows)) for _ in range(4)]
+                edits[0][x][y], edits[0][x][z] = edits[0][x][z], edits[0][x][y]
+                edits[1][x] = list(rt.rows[y])
+                edits[2][x] = rng.sample(range(n), n)
+                edits[3][x][y] = rng.choice((-1, n))
+                for rows in edits:
+                    self.assert_same(rows)
+
+    def test_later_r1_defect_is_reported_before_earlier_r2_defect(self):
+        rows = [list(row) for row in dihedral(7).rows]
+        rows[1][2], rows[1][4] = rows[1][4], rows[1][2]  # R2 fails at row 1
+        with pytest.raises(rq.R2Violation):
+            load_table(emit_table(rq.RackTable(7, tuple(map(tuple, rows)))))
+        self.assert_same(rows)
+        rows[5][3] = rows[5][0]  # row 5 is not a permutation
+        with pytest.raises(R1Violation) as exc:
+            load_table(emit_table(rq.RackTable(7, tuple(map(tuple, rows)))))
+        assert exc.value.row == 5
+        self.assert_same(rows)
+
+    def test_only_other_shapes_reach_validate(self):
+        assert self.validate_calls(parse_table(emit_table(dihedral(9)))) == 0
+        assert self.validate_calls(parse_table("2\n1 1\n2 2\n")) == 0
+        rows = parse_table(DIHEDRAL3_TEXT).rows
+        others = [
+            rq.TableDocument(1, ((1,),)),
+            rq.TableDocument(3, rows[:2]),
+            rq.TableDocument(3, (rows[0], rows[1][:2], rows[2])),
+            rq.TableDocument(3, (rows[0], rows[1] + (1,), rows[2])),
+            rq.TableDocument(3, (rows[0], (1,), rows[2])),
+            rq.TableDocument(3, (rows[0], (0, 1, 2), rows[2])),
+        ]
+        for doc in others:
+            assert self.validate_calls(doc) == 1, doc
+        with pytest.raises(rq.RackError, match=r"^expected an 3x3 table$"):
+            others[3].to_rack()
 
 
 class TestEmitTable:
