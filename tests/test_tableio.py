@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 from dataclasses import replace
+from functools import partial
 from itertools import product
 
 import pytest
@@ -224,17 +225,11 @@ class TestToRackChecksAxiomsDirectly:
     must give the table or the error and witness of the cubic scan kept as
     ``oracles.validate_cubic``."""
 
-    @staticmethod
-    def outcome(check, *args):
-        try:
-            return check(*args)
-        except rq.RackError as exc:
-            return type(exc).__name__, str(exc), vars(exc)
-
     def assert_same(self, rows):
         n = len(rows)
         doc = rq.TableDocument(n, tuple(tuple(v + 1 for v in row) for row in rows))
-        assert self.outcome(doc.to_rack) == self.outcome(oracles.validate_cubic, n, rows), rows
+        want = parse_outcome(partial(oracles.validate_cubic, n), rows)
+        assert parse_outcome(rq.TableDocument.to_rack, doc) == want, rows
 
     @staticmethod
     def validate_calls(doc):
