@@ -137,23 +137,32 @@ def validate(n: int, raw_table) -> RackTable:
     This function is the input gate: it checks the shape and that every
     entry is an int in 0..n-1.  One routine then checks the axioms, and
     :meth:`rackq.tableio.TableDocument.to_rack` calls it directly on rows
-    it has built from such ints.  R1 takes one set per row, since n
-    entries in range form a permutation exactly when they differ.
+    it has built from such ints.  R1 holds when no row misses a point:
+    n entries in range form a permutation exactly when they cover 0..n-1.
 
     R2 says every row is an automorphism.  Once the rows of a set A have
     passed, the subrack that A generates is the orbit of A under the group
     of those rows, since r_{g(b)} = g r_b g⁻¹ for every g in it; and all of
     its rows are automorphisms.  So rows are checked in order, skipping
     those in that orbit; the first row that fails is still the first row
-    that is not an automorphism.  A row is checked with n whole-row
-    comparisons, and a row equal to one that passed needs no check.
+    that is not an automorphism.  Row x is checked by comparing r_x r_y
+    with r_{r_x(y)} r_x for each y, and a row equal to one that passed
+    needs no check.
 
-    The cost is O(g·n²) C-level steps for the checks, where g counts the
-    rows checked, and O(g·n) for the orbit: each checked row lies outside
-    the orbit of the earlier ones, so g is one or two for dihedral and
-    affine quandles.  The worst case is a rack with n distinct rows that
-    needs about n generators, such as a disjoint union of many small
-    quandles; trivial and cyclic racks have a single row and cost O(n²).
+    From 8 to 256 points each row is also held as bytes: R1 deletes a
+    row's bytes from the carrier's, and a composition is one
+    ``bytes.translate`` through the other row padded to 256 entries.  On
+    fewer points, where building the bytes costs more than it saves, and
+    on more, where a byte cannot hold a point, R1 takes one set per row
+    and a composition is one ``itemgetter`` gather.
+
+    Either way the checks are 2·g·n compositions of n entries, each one
+    C-level loop, where g counts the rows checked, and the orbit costs
+    O(g·n): each checked row lies outside the orbit of the earlier ones,
+    so g is one or two for dihedral and affine quandles.  The worst case
+    is a rack with n distinct rows that needs about n generators, such as
+    a disjoint union of many small quandles; trivial and cyclic racks have
+    a single row and cost O(n²).
     """
     check_carrier_size(n)
     try:
@@ -175,15 +184,28 @@ def validate(n: int, raw_table) -> RackTable:
 def _checked_rack(n: int, rows: tuple[tuple[int, ...], ...]) -> RackTable:
     """R1, then R2, on n rows of n ints in 0..n-1, as :func:`validate`
     describes; the rack on success."""
-    if min(map(len, map(set, rows))) < n:
-        raise R1Violation(next(x for x, row in enumerate(rows) if len(set(row)) < n))
-    # get[y](r) reads r at the entries of row y, so get[y](r_x) is r_x r_y.
-    get = [itemgetter(*row) for row in rows]
+    if 8 <= n <= 256:
+        # A row fits in bytes up to 256 points, and pays for building them
+        # from 8.  Deleting a row's entries from the carrier leaves the
+        # points it misses, and b.translate(t) is t∘b once t is padded to
+        # 256 entries.
+        raw = list(map(bytes, rows))
+        carrier = bytes(range(n))
+        onto = [not carrier.translate(None, b) for b in raw]
+        pad = bytes(256 - n)
+        compose, perms = [b.translate for b in raw], [b + pad for b in raw]
+    else:
+        onto = [len(set(row)) == n for row in rows]
+        # compose[y](r) reads r at the entries of row y.
+        compose, perms = [itemgetter(*row) for row in rows], rows
+    if not all(onto):
+        raise R1Violation(onto.index(False))
+    # Either way compose[y](perms[x]) is r_x r_y.
     for x in _generators(rows, range(n), set()):
-        rx, gx = rows[x], get[x]
-        for y, ry in enumerate(rows):
-            rv = rows[rx[y]]
-            if get[y](rx) != gx(rv):
+        rx, cx, px = rows[x], compose[x], perms[x]
+        for y, cy in enumerate(compose):
+            if cy(px) != cx(perms[rx[y]]):
+                ry, rv = rows[y], rows[rx[y]]
                 z = next(z for z in range(n) if rx[ry[z]] != rv[rx[z]])
                 raise R2Violation(x, y, z)
     return RackTable(n, rows)

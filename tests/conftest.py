@@ -24,6 +24,12 @@ def rack_reps6():
 
 
 @pytest.fixture(scope="session")
+def census7():
+    """The census of racks of order 7 (2,080 classes), run once."""
+    return rq.census(7)
+
+
+@pytest.fixture(scope="session")
 def family_tables():
     """A spread of constructed tables used by the cross-family suites."""
     tables = {

@@ -574,6 +574,38 @@ def validate_cubic(n, raw_table):
     return rq.RackTable(n, rows)
 
 
+def validate_gather(n, raw_table):
+    """``rackq.core.validate`` before rows were composed as bytes: the same
+    input gate, then R1 by one set per row and R2 on the generating rows,
+    each composition an ``itemgetter`` gather, at every order."""
+    rq.core.check_carrier_size(n)
+    try:
+        rows = tuple(tuple(row) for row in raw_table)
+    except TypeError:
+        rows = ()  # not a sequence of sequences, so never n x n
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise rq.RackError(f"expected an {n}x{n} table")
+    carrier = set(range(n))
+    if not all(set(map(type, row)) == {int} and carrier.issuperset(row) for row in rows):
+        # Some entry is not an int in range: scan entry by entry for the witness.
+        for x, row in enumerate(rows):
+            for y, v in enumerate(row):
+                if not isinstance(v, int) or not 0 <= v < n:
+                    raise rq.OutOfRangeEntry(x, y, v, n)
+    if min(map(len, map(set, rows))) < n:
+        raise rq.R1Violation(next(x for x, row in enumerate(rows) if len(set(row)) < n))
+    # get[y](r) reads r at the entries of row y, so get[y](r_x) is r_x r_y.
+    get = [itemgetter(*row) for row in rows]
+    for x in rq.core._generators(rows, range(n), set()):
+        rx, gx = rows[x], get[x]
+        for y, ry in enumerate(rows):
+            rv = rows[rx[y]]
+            if get[y](rx) != gx(rv):
+                z = next(z for z in range(n) if rx[ry[z]] != rv[rx[z]])
+                raise rq.R2Violation(x, y, z)
+    return rq.RackTable(n, rows)
+
+
 def parse_table_per_token(text):
     """``rackq.parse_table`` as first built: every body entry is checked
     token by token."""

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Every criterion, order-6 census tiers included, runs in the default lane:
-the orderly search builds the order-6 census in about a second.  None of
-these tests is marked "slow", so ``pytest -m "not slow"`` runs the whole
-gate too.
+Every criterion, order-6 and order-7 census tiers included, runs in the
+default lane: the orderly search builds the order-6 census in about a
+second, and the order-7 rack census, shared with the published-count test
+through the ``census7`` fixture, in about one more.  None of these tests is
+marked "slow", so ``pytest -m "not slow"`` runs the whole gate too.
 """
 import json
 import math
@@ -64,6 +65,11 @@ def test_criterion_3_split_rule_soundness_order_6(rack_reps6):
     _ok("criterion 3 (order-6 tier)", f"{len(profiles)} profiles, none excluded")
 
 
+def test_criterion_3_split_rule_soundness_order_7(census7):
+    _assert_no_excluded_profiles(census7.histogram, 7)
+    _ok("criterion 3 (order-7 tier)", f"{len(census7.histogram)} profiles, none excluded")
+
+
 def test_criterion_4_divisibility_up_to_5(rack_reps):
     for n in range(1, 6):
         for rt in _indecomposable_reps(rack_reps[n]):
@@ -76,6 +82,12 @@ def test_criterion_4_divisibility_order_6(rack_reps6):
     for rt in racks:
         assert rq.hayashi_holds_for(rt)
     _ok("criterion 4 (order-6 tier)", f"{len(racks)} indecomposable racks checked")
+
+
+def test_criterion_4_divisibility_order_7(census7):
+    for key in census7.histogram:
+        assert rq.hayashi_check(rq.parse_profile(key)), key
+    _ok("criterion 4 (order-7 tier)", f"{len(census7.histogram)} indecomposable profiles checked")
 
 
 def test_criterion_4_cli_confirms_supplied_tables(capsys, tmp_path):

@@ -208,6 +208,30 @@ class TestCheck:
             ]
             assert (code, out) == (0, rq.emit_report(want) + "\n")
 
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_either_side_of_byte_rows(self, capsys, tmp_path, n):
+        # On 256 points validate composes rows as bytes, on 257 it gathers.
+        # r_x(y) = 2x - y fixes x and x + n/2 when n is even, x alone if odd.
+        profile = f"1^2 2^{n // 2 - 1}" if n % 2 == 0 else f"1^1 2^{n // 2}"
+        points = ",".join(f'{{"point":{x},"pattern":"{profile}"}}' for x in range(1, n + 1))
+        report = (f'{{"order":{n},"is_quandle":true,"is_crossed_set":true,"is_braided":false,'
+                  f'"is_indecomposable":{"true" if n % 2 else "false"},"degree":2,'
+                  f'"per_point_patterns":[{points}]}}\n')
+        r1 = [list(row) for row in rq.dihedral(n).rows]
+        r1[200][3] = r1[200][4]
+        r2 = [list(row) for row in rq.dihedral(n).rows]
+        r2[129][3], r2[129][200] = r2[129][200], r2[129][3]
+        outcomes = []
+        for rows in (rq.dihedral(n).rows, r1, r2):
+            path = tmp_path / "table.txt"
+            path.write_text(rq.emit_table(rq.RackTable(n, tuple(map(tuple, rows)))))
+            outcomes.append(run(capsys, "check", str(path)))
+        assert outcomes == [
+            (0, report, ""),
+            (1, "", "row 200 is not a permutation of the carrier\n"),
+            (1, "", f"self-distributivity fails at triple (0, {n - 129}, {n - 200})\n"),
+        ]
+
     def test_invalid_table_surfaces_witness(self, capsys, monkeypatch):
         code, _, err = run_with_stdin(capsys, monkeypatch, "2\n1 1\n2 2\n", "check", "-")
         assert code == 1

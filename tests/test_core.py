@@ -120,7 +120,7 @@ def mutations(rows, rng):
     return [edit(f) for f in (swap, replace, copy, out_of_range, true, float_one)]
 
 
-def tables(max_n=4):
+def tables(max_n=4, min_n=1):
     """Arbitrary square tables: each row a permutation, or entries in -1..n and booleans."""
     def of_order(n):
         row = st.one_of(
@@ -129,7 +129,7 @@ def tables(max_n=4):
         )
         return st.lists(row, min_size=n, max_size=n)
 
-    return st.integers(1, max_n).flatmap(of_order)
+    return st.integers(min_n, max_n).flatmap(of_order)
 
 
 class TestValidateMatchesCubicScan:
@@ -179,6 +179,60 @@ class TestValidateMatchesCubicScan:
         start = time.perf_counter()
         assert validate(rt.n, rt.rows) == rt
         assert time.perf_counter() - start < 0.5
+
+
+def boundary_tables():
+    """Tables on 7 and 8 points, either side of the least order that
+    validate holds as bytes, and on 255, 256 and 257, either side of the
+    largest: dihedral, cyclic, trivial, and affine on Z_n with a unit α and
+    with a unit α for which 1 − α is not a unit (on the primes 7 and 257
+    only α = 1 is such, which is the trivial table; on 8 and 256 every unit
+    is such)."""
+    alphas = {7: (3,), 8: (3, 5), 255: (2, 4), 256: (3, 5), 257: (3,)}
+    tables = []
+    for n, units in alphas.items():
+        tables += [dihedral(n), rq.cyclic_rack(n), trivial(n)]
+        tables += [rq.affine(rq.AffineSpec((n,), ((a,),))) for a in units]
+    return tables
+
+
+class TestValidateMatchesGatherLoop:
+    """From 8 to 256 points validate composes rows as bytes; on fewer or
+    more it gathers, as ``oracles.validate_gather`` does at every order.
+    Both must give the same table or the same exception, message and
+    witness, on both sides of each switch."""
+
+    def assert_same(self, rows):
+        n = len(rows)
+        want = validate_outcome(oracles.validate_gather, n, rows)
+        assert validate_outcome(validate, n, rows) == want, n
+
+    def test_boundary_tables_and_their_mutations(self):
+        # One swap in the row of each orbit's least point; a trivial table
+        # has n one-point orbits whose swaps are all alike, so 16 of them.
+        rng = random.Random(2019)
+        for rt in boundary_tables():
+            self.assert_same(rt.rows)
+            for rows in mutations(rt.rows, rng):
+                self.assert_same(rows)
+            least = [min(orbit) for orbit in rt.orbits]
+            for x in sorted(rng.sample(least, min(len(least), 16))):
+                rows = [list(row) for row in rt.rows]
+                y, z = rng.sample(range(rt.n), 2)
+                rows[x][y], rows[x][z] = rows[x][z], rows[x][y]
+                self.assert_same(rows)
+
+    @given(tables(max_n=9, min_n=7))
+    def test_arbitrary_tables_at_the_least_byte_order(self, rows):
+        self.assert_same(rows)
+
+    def test_swaps_fail_on_both_sides_of_the_switch(self):
+        # A swap in row 0 of a dihedral table breaks R2 at every order here.
+        for n in (7, 8, 255, 256, 257):
+            rows = [list(row) for row in dihedral(n).rows]
+            rows[0][1], rows[0][2] = rows[0][2], rows[0][1]
+            with pytest.raises(R2Violation):
+                validate(n, rows)
 
 
 class TestValidateChecksGenerators:

@@ -84,8 +84,8 @@ class TestKnownCounts:
 
     # Published counts: OEIS A181771 (racks), A057851 (quandles) and
     # A181769 (connected quandles).
-    def test_racks_order_7(self):
-        assert census(7).total_up_to_iso == 2080
+    def test_racks_order_7(self, census7):
+        assert census7.total_up_to_iso == 2080
 
     def test_quandles_order_7(self):
         assert census(7, EnumerationFilter(require_quandle=True)).total_up_to_iso == 298
