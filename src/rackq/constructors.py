@@ -22,10 +22,6 @@ class NonInvertibleAlpha(RackError):
     """The supplied matrix does not act bijectively on the group."""
 
 
-class ClassTooLarge(RackError):
-    """The requested conjugacy class exceeds the construction guard."""
-
-
 def trivial(n: int) -> RackTable:
     """The trivial quandle: every translation is the identity."""
     check_carrier_size(n)
@@ -175,9 +171,6 @@ def affine(spec: AffineSpec) -> RackTable:
     return RackTable(n, tuple(map(by_image.__getitem__, shift)))
 
 
-CLASS_SIZE_GUARD = 10_000
-
-
 def _conjugate(g: Perm, i: int) -> Perm:
     """t g t for the adjacent transposition t = (i i+1)."""
     if {g[i], g[i + 1]} == {i, i + 1}:
@@ -190,16 +183,14 @@ def _conjugate(g: Perm, i: int) -> Perm:
 
 
 def check_class_size(degree: int, lengths: Iterable[int]) -> None:
-    """Raise :class:`ClassTooLarge` if the class of cycle type ``lengths``
-    in S_degree has more than CLASS_SIZE_GUARD members: d!/z_λ, with the
-    fixed points' 1^m1 m1! cancelled into d!/m1!, so no list of length
-    ``degree`` is built."""
-    if degree < 1:
-        raise RackError(f"degree must be positive, got {degree}")
+    """Pass the class of cycle type ``lengths`` in S_degree, d!/z_λ members,
+    to :func:`rackq.core.check_carrier_size`; the fixed points' 1^m1 m1!
+    cancel into d!/m1!, so no list of length ``degree`` is built."""
+    if type(degree) is not int or degree < 1:
+        raise RackError(f"degree must be a positive integer, got {degree!r}")
     counts = Counter(length for length in lengths if length > 1)
     z = math.prod(k**m * math.factorial(m) for k, m in counts.items())
-    if math.perm(degree, sum(k * m for k, m in counts.items())) // z > CLASS_SIZE_GUARD:
-        raise ClassTooLarge(f"conjugacy class exceeds {CLASS_SIZE_GUARD} elements")
+    check_carrier_size(math.perm(degree, sum(k * m for k, m in counts.items())) // z)
 
 
 def conjugation_class_quandle(degree: int, rep: Perm) -> RackTable:
@@ -207,9 +198,9 @@ def conjugation_class_quandle(degree: int, rep: Perm) -> RackTable:
 
     The carrier is the conjugacy class of ``rep`` inside the symmetric
     group on ``degree`` points, sorted lexicographically by image array;
-    x acting on y is the conjugate x y x^-1.  Raises
-    :class:`ClassTooLarge` past the CLASS_SIZE_GUARD, sizing the class
-    from the cycle type of ``rep`` before building any of it.
+    x acting on y is the conjugate x y x^-1.  The class is sized from the
+    cycle type of ``rep`` by :func:`check_class_size` before any of it is
+    built.
 
     A BFS under conjugation by the adjacent transpositions t_i = (i i+1),
     which generate the group, records each member's parent and t_i, and

@@ -12,13 +12,18 @@ so values can be shared freely across threads.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
 from .errors import RackError
 from .perm import CycleProfile, pattern, power
+
+MAX_CELLS = 2**25  # n <= 5,792; building dihedral(5792) peaks near 272 MB
+
+
+class CarrierTooLarge(RackError):
+    """A carrier whose n-by-n table would hold more than MAX_CELLS cells."""
 
 
 class TableValidationError(RackError):
@@ -118,12 +123,15 @@ class ClassFlags:
 
 
 def check_carrier_size(n: int) -> None:
-    """Refuse a carrier size below 1, or one too large for any sequence to
-    hold, before anything of that size is built."""
+    """Refuse a carrier size that is not an ``int``, is below 1, or whose
+    n-by-n table exceeds MAX_CELLS cells, before anything of it is built."""
+    if type(n) is not int:
+        raise RackError(f"carrier size must be an integer, got {n!r}")
     if n < 1:
         raise RackError(f"carrier size must be positive, got {n}")
-    if n > sys.maxsize:
-        raise RackError(f"carrier size must be at most {sys.maxsize}, got {n}")
+    if n * n > MAX_CELLS:
+        size = n if n.bit_length() <= 2000 else f"of {n.bit_length()} bits"  # too long for str()
+        raise CarrierTooLarge(f"carrier size {size} exceeds the budget of {MAX_CELLS} table cells")
 
 
 def validate(n: int, raw_table) -> RackTable:

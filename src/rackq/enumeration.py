@@ -42,7 +42,7 @@ MAX_ORDER = 7
 
 
 class OrderTooLarge(RackError):
-    """The requested order lies outside the search guard, 1..MAX_ORDER."""
+    """The requested order is not an ``int`` in the search guard, 1..MAX_ORDER."""
 
     def __init__(self, n: int):
         super().__init__(f"order must be in 1..{MAX_ORDER}, got {n}")
@@ -83,7 +83,7 @@ class CensusReport:
 
 
 def _guard(n: int) -> None:
-    if not 1 <= n <= MAX_ORDER:
+    if type(n) is not int or not 1 <= n <= MAX_ORDER:
         raise OrderTooLarge(n)
 
 

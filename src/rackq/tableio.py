@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from itertools import repeat
 from operator import itemgetter, sub
 
-from .core import RackTable, _checked_rack, validate
+from .core import RackTable, _checked_rack, check_carrier_size, validate
 from .enumeration import CensusReport
 from .errors import RackError
 from .obstructions import ObstructionVerdict
@@ -69,7 +69,8 @@ def parse_table(text: str) -> TableDocument:
     """Parse the plain-text table format into a document.
 
     Recognizes '# name:' and '# source:' comments as annotations; other
-    comments and blank lines are ignored.  After the row count, a lookup
+    comments and blank lines are ignored.  The order goes through
+    :func:`rackq.core.check_carrier_size`.  After the row count, a lookup
     of the numerals "1".."n" reads each body line; a line it misses goes
     token by token, which accepts leading zeros and locates a bad entry.
     """
@@ -96,13 +97,13 @@ def parse_table(text: str) -> TableDocument:
         raise TableParseError(f"order line must be a positive integer, got {head!r}", head_line)
     digits = head.lstrip("0") or "0"
     try:
-        n = int(digits)
-    except ValueError:
+        check_carrier_size(n := int(digits))
+    except RackError as exc:  # below 1, or over the table budget
+        raise TableParseError(str(exc), head_line) from None
+    except ValueError:  # more digits than int() reads
         raise TableParseError(
             f"order line has {len(digits)} digits, too many to read", head_line
         ) from None
-    if n < 1:
-        raise TableParseError(f"order must be positive, got {n}", head_line)
     body = data[1:]
     if len(body) != n:
         reported = body[-1][0] if body else head_line

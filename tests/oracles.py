@@ -432,8 +432,9 @@ def dihedral_formula(n):
 
 
 def conjugation_class_bfs(degree, rep):
-    """The conjugation quandle as first built: the class is closed under all
-    d(d-1)/2 transpositions, and the size guard is checked while it grows."""
+    """The conjugation quandle as first built: the class is sized by
+    ``check_class_size``, then closed under all d(d-1)/2 transpositions."""
+    rq.constructors.check_class_size(degree, rq.perm.cycle_lengths(rep))
     transpositions = []
     for i in range(degree):
         for j in range(i + 1, degree):
@@ -449,10 +450,6 @@ def conjugation_class_bfs(degree, rep):
                 h = rq.compose(t, rq.compose(g, t))
                 if h not in members:
                     members.add(h)
-                    if len(members) > rq.constructors.CLASS_SIZE_GUARD:
-                        raise rq.ClassTooLarge(
-                            f"conjugacy class exceeds {rq.constructors.CLASS_SIZE_GUARD} elements"
-                        )
                     nxt.append(h)
         frontier = nxt
     carrier = sorted(members)

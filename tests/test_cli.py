@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -80,8 +81,37 @@ class TestMake:
         cases.append((("make", "affine", "--moduli", huge, "--alpha", "3"), huge))
         for argv, size in cases:
             code, out, err = run(capsys, *argv)
-            want = f"carrier size must be at most {sys.maxsize}, got {size}\n"
+            want = f"carrier size {size} exceeds the budget of 33554432 table cells\n"
             assert (code, out, err) == (1, "", want), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["trivial", "5793"],
+        ["cyclic", "5793"],
+        ["dihedral", "5793"],
+        ["affine", "--moduli", "5793", "--alpha", "2"],
+        ["affine", "--moduli", "1931,3", "--alpha", "2,0;0,1"],
+    ])
+    def test_one_point_over_the_cell_budget(self, capsys, argv):
+        # floor(sqrt(MAX_CELLS)) + 1 points: refused before any row is built.
+        assert math.isqrt(rq.core.MAX_CELLS) + 1 == 5793
+        start = time.perf_counter()
+        code, out, err = run(capsys, "make", *argv)
+        assert time.perf_counter() - start < 1.0
+        want = "carrier size 5793 exceeds the budget of 33554432 table cells\n"
+        assert (code, out, err) == (1, "", want)
+
+    def test_over_budget_sizes_too_long_to_print(self, capsys):
+        # A product of moduli, or a class size, with more digits than str()
+        # writes is named by its bits.
+        d = 10**4000 - 1
+        cases = [
+            (["affine", "--moduli", f"{d},{d}", "--alpha", "1,0;0,1"], d * d),
+            (["conj", "--degree", str(d), "--rep", "(1 2 3)"], d * (d - 1) * (d - 2) // 3),
+        ]
+        for argv, size in cases:
+            code, out, err = run(capsys, "make", *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"carrier size of {size.bit_length()} bits exceeds the budget")
 
     def test_affine_matrix_must_be_a_homomorphism(self, capsys):
         code, out, err = run(capsys, "make", "affine", "--moduli", "5,2", "--alpha", "3,0;3,7")
@@ -133,14 +163,17 @@ class TestMake:
         start = time.perf_counter()
         code, out, err = run(capsys, "make", "conj", "--degree", "1000", "--rep", "(1 2)")
         assert time.perf_counter() - start < 1.0
-        assert (code, out, err) == (1, "", "conjugacy class exceeds 10000 elements\n")
+        want = "carrier size 499500 exceeds the budget of 33554432 table cells\n"
+        assert (code, out, err) == (1, "", want)
 
     @pytest.mark.parametrize("degree", ["1000000000", "1" + "0" * 30])
     def test_conj_huge_degree_is_sized_before_building(self, capsys, degree):
         # A permutation of this degree would need gigabytes, or more
         # points than a list can index.
         code, out, err = run(capsys, "make", "conj", "--degree", degree, "--rep", "(1 2)")
-        assert (code, out, err) == (1, "", "conjugacy class exceeds 10000 elements\n")
+        members = int(degree) * (int(degree) - 1) // 2  # the transpositions
+        want = f"carrier size {members} exceeds the budget of 33554432 table cells\n"
+        assert (code, out, err) == (1, "", want)
 
     @pytest.mark.parametrize("degree", ["5", "1000000000", "1" + "0" * 30])
     @pytest.mark.parametrize("rep", ["()", "(1)(2)"])
@@ -513,6 +546,13 @@ _REP = st.lists(
     st.sampled_from(("(1 2)", "(3 4)", "(2 3 5)", "(9)", "(1 1)", "(10)", "(", ")", " ", "x")),
     max_size=2,
 ).map("".join)
+# Constructor sizes: small ones, ones just over the cell budget, and junk,
+# so that no example builds a large table.  Two moduli give at most 512
+# points, or the product of an over-budget size.
+_OVER_BUDGET = math.isqrt(rq.core.MAX_CELLS) + 1
+_SIZE = st.integers(-1, 64).map(str) | st.integers(_OVER_BUDGET, _OVER_BUDGET + 64).map(str) | _JUNK
+_MODULI = _SIZE | st.builds("{},{}".format, _SIZE, st.integers(1, 8))
+_ALPHA = st.sampled_from(("2", "-1", "0", "1,0;0,3", "0,1;1,1", "3,0;3,7", "1")) | _JUNK
 _READS_TABLE = st.sampled_from(
     (["check", "-"], ["profile", "-"], ["profile", "-", "--per-point"], ["hayashi", "-"])
 )
@@ -543,6 +583,22 @@ _INVOCATIONS = st.one_of(
         ),
         st.just(""),
     ),
+    st.tuples(
+        st.builds(
+            lambda family, size: ["make", family, size],
+            st.sampled_from(("trivial", "cyclic", "dihedral")),
+            _SIZE,
+        ),
+        st.just(""),
+    ),
+    st.tuples(
+        st.builds(
+            lambda moduli, alpha: ["make", "affine", "--moduli", moduli, "--alpha", alpha],
+            _MODULI,
+            _ALPHA,
+        ),
+        st.just(""),
+    ),
 )
 
 
@@ -553,6 +609,8 @@ class TestMainFuzz:
     @example((["obstruct", "--profile", "1^2 6 10 15", "--scope", "crossed-sets"], ""))
     @example((["obstruct", "--profile", "2 4294967297"], ""))
     @example((["make", "conj", "--degree", "9", "--rep", "(1 2)(3 4)"], ""))
+    @example((["make", "dihedral", "5793"], ""))
+    @example((["make", "affine", "--moduli", "64,8", "--alpha", "1,0;0,3"], ""))
     def test_main_exits_0_1_or_2(self, invocation):
         argv, stdin = invocation
         with mock.patch.object(sys, "stdin", io.StringIO(stdin)), \

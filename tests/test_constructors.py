@@ -8,7 +8,7 @@ import pytest
 import rackq as rq
 from rackq import (
     AffineSpec,
-    ClassTooLarge,
+    CarrierTooLarge,
     NonInvertibleAlpha,
     affine,
     conjugation_class_quandle,
@@ -335,9 +335,10 @@ class TestConjugationClass:
         assert rt.rows[0] == (0, 2, 1)
 
     def test_class_guard(self):
-        # 9-cycles in the symmetric group on 9 points: 8! = 40320 members.
+        # 9-cycles in the symmetric group on 9 points: 8! = 40320 members,
+        # a table of 1.6 billion cells.
         nine_cycle = tuple(list(range(1, 9)) + [0])
-        with pytest.raises(ClassTooLarge):
+        with pytest.raises(CarrierTooLarge, match=r"^carrier size 40320 exceeds"):
             conjugation_class_quandle(9, nine_cycle)
 
     def test_every_cycle_type_up_to_s6_matches_reference(self):
@@ -394,7 +395,8 @@ class TestConjugationClass:
         # transpositions alone would take gigabytes.
         transposition = (1, 0, *range(2, 1000))
         start = time.perf_counter()
-        with pytest.raises(ClassTooLarge, match=r"^conjugacy class exceeds 10000 elements$"):
+        message = r"^carrier size 499500 exceeds the budget of 33554432 table cells$"
+        with pytest.raises(CarrierTooLarge, match=message):
             conjugation_class_quandle(1000, transposition)
         assert time.perf_counter() - start < 1.0
 

@@ -67,6 +67,11 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate(0, [])
 
+    def test_order_must_be_an_int(self):
+        for n in (2.0, True, None, "2"):
+            with pytest.raises(rq.RackError, match=r"^carrier size must be an integer, got "):
+                validate(n, [[0, 1], [1, 0]])
+
     def test_agrees_with_brute_oracle_at_order_2(self):
         for rows in oracles.all_tables(2):
             expected = oracles.is_rack_table(rows)
@@ -85,6 +90,43 @@ def validate_outcome(check, n, rows):
         return check(n, rows)
     except rq.RackError as exc:
         return type(exc).__name__, str(exc), vars(exc)
+
+
+class TestCarrierBudget:
+    """One budget of MAX_CELLS table cells bounds every table rackq builds,
+    parses or checks."""
+
+    LARGEST = 5792  # floor(sqrt(2**25))
+
+    def test_budget_bounds_the_carrier(self):
+        assert rq.core.MAX_CELLS == 2**25
+        assert self.LARGEST**2 <= rq.core.MAX_CELLS < (self.LARGEST + 1) ** 2
+        rq.core.check_carrier_size(self.LARGEST)
+        message = r"^carrier size 5793 exceeds the budget of 33554432 table cells$"
+        with pytest.raises(rq.CarrierTooLarge, match=message):
+            rq.core.check_carrier_size(self.LARGEST + 1)
+        with pytest.raises(rq.CarrierTooLarge, match=message):
+            validate(self.LARGEST + 1, [])
+
+    def test_size_too_long_to_print_is_named_by_bits(self):
+        n = 10**5000
+        with pytest.raises(rq.CarrierTooLarge, match=rf"^carrier size of {n.bit_length()} bits exceeds"):
+            rq.core.check_carrier_size(n)
+
+    @pytest.mark.parametrize("build", [rq.trivial, rq.cyclic_rack, rq.dihedral])
+    def test_non_int_sizes_are_refused(self, build):
+        for n in (5.0, True, None):
+            with pytest.raises(rq.RackError, match=rf"^carrier size must be an integer, got {n}$"):
+                build(n)
+
+    def test_class_members_count_against_the_budget(self):
+        # The (7,1) class of S_8, the largest in S_8, has 5,760 members and
+        # fits; the 9-cycles of S_9 have 40,320.
+        rq.constructors.check_class_size(8, (7, 1))
+        with pytest.raises(rq.CarrierTooLarge, match=r"^carrier size 40320 exceeds"):
+            rq.constructors.check_class_size(9, (9,))
+        with pytest.raises(rq.RackError, match=r"^degree must be a positive integer, got 4\.0$"):
+            rq.conjugation_class_quandle(4.0, (1, 0, 2, 3))
 
 
 def mutations(rows, rng):

@@ -248,6 +248,13 @@ class TestStreamContract:
         with pytest.raises(OrderTooLarge):
             list(enumerate_racks(0))
 
+    @pytest.mark.parametrize("order", [5.0, 3.0, None, True, "3"])
+    def test_order_must_be_an_int(self, order):
+        with pytest.raises(OrderTooLarge, match=rf"^order must be in 1\.\.7, got {order}$"):
+            census(order)
+        with pytest.raises(OrderTooLarge):
+            list(enumerate_racks(order))
+
     def test_crossed_set_filter_implies_quandle(self):
         filt = EnumerationFilter(require_crossed_set=True)
         assert filt.require_quandle

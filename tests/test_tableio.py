@@ -213,9 +213,18 @@ class TestParseFastPath:
             self.assert_same("\n".join(edited))
 
     def test_huge_order_with_short_body(self):
-        # The row count is checked before anything of size n is built.
-        with pytest.raises(TableParseError, match=r"^line 3: expected 1000000000000 table rows, found 2$"):
-            parse_table(f"{10**12}\n1 2\n2 1\n")
+        # An order over the table budget is refused on its line, before
+        # the body is read; one inside it reaches the row count.
+        cases = {
+            f"{10**12}\n1 2\n2 1\n": "line 1: carrier size 1000000000000 exceeds the budget of 33554432 table cells",
+            "# big\n5793\n1 2\n": "line 2: carrier size 5793 exceeds the budget of 33554432 table cells",
+            "5792\n1 2\n2 1\n": "line 3: expected 5792 table rows, found 2",
+            "0\n": "line 1: carrier size must be positive, got 0",
+        }
+        for text, message in cases.items():
+            with pytest.raises(TableParseError) as exc:
+                parse_table(text)
+            assert str(exc.value) == message
 
 
 class TestToRackChecksAxiomsDirectly:
