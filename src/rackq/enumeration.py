@@ -1,26 +1,31 @@
 """Exhaustive generation of small racks up to isomorphism.
 
 Tables are built row by row, in lexicographic order, and no step reads a
-table of all n! permutations.  Row 0 of a canonical table is a closed
-form, one per partition of n and part holding 0.  Self-distributivity
-ties each later row p = r_r to the placed rows (Ho & Nelson, "Matrices
-and finite quandles", 2005): the cells that placed pairs force seed p,
-the others are filled in index order, values ascending, and each is
-pushed through the equations p∘A = B∘p that R2 gives.  The rows that
-come out are exactly those that pass the pair checks, in lex order.
+table of all n! permutations.  Rows are ``bytes`` for the whole search:
+values are below 256, so bytes compare as the tuples of their values do,
+and a composition is one ``bytes.translate``.  Row 0 of a canonical table
+is a closed form, one per partition of n and part holding 0.
+Self-distributivity ties each later row p = r_r to the placed rows (Ho &
+Nelson, "Matrices and finite quandles", 2005): the cells that placed pairs
+force seed p, the others are filled in index order, values ascending, and
+each is pushed through the equations p∘A = B∘p that R2 gives.  The rows
+that come out are exactly those that pass the pair checks and keep the
+identity block (below), in lex order.
 
 Isomorphism rejection is orderly (Read 1978; Faradzev 1978): a table is
 emitted only if it equals its canonical form, the lexicographically
 minimal relabeling, which ``canonical_form`` finds by the same search.
-The identity is the least row, so a relabeling can
-tie the k leading identity rows only if it maps {0..k-1} onto itself,
-and its row k is then a conjugate of some placed row r_q.  The least
-such conjugate has a closed form: below r_k it rules out every
-completion, above it rules out every s with s(q) = k, and equal to it
-leaves only a coset of the centralizer of r_k to compare.  After row r
-the search drops the partial table once one of these s makes rows 0..r
-lex-smaller; at the last row the ties it counts are |Aut(T)|.  Every
-filter is invariant under isomorphism, so the class of T holds
+The identity is the least row, so a relabeling can tie the k leading
+identity rows only if it maps {0..k-1} onto itself, and a canonical table
+keeps that block: every later row maps {0..k-1} onto itself, and no other
+candidate is built.  Row k of such a relabeling is a conjugate of some
+placed row r_q.  The least such conjugate has a closed form: below r_k it
+rules out every completion, above it rules out every s with s(q) = k, and
+equal to it leaves only a coset of the centralizer of r_k to compare.
+After row r the search drops the partial table once one of these s makes
+rows 0..r lex-smaller; at the last row the ties it counts are |Aut(T)|.
+Each search keeps a memo of the rows' labellings, freed when it ends.
+Every filter is invariant under isomorphism, so the class of T holds
 n!/|Aut(T)| labelled tables.
 """
 from __future__ import annotations
@@ -30,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain, permutations, product
 from math import factorial
-from operator import itemgetter
 from typing import Callable, Iterator
 
 from .core import RackTable, is_braided, is_crossed_set, validate
@@ -39,6 +43,10 @@ from .inner import is_indecomposable, rack_profile
 from .perm import cycle_decomposition, from_cycles, inverse, is_permutation
 
 MAX_ORDER = 7
+
+# The identity on 256 points: a row of n points plus _PAD[n:] is a
+# ``bytes.translate`` table.
+_PAD = bytes(range(256))
 
 
 class OrderTooLarge(RackError):
@@ -87,13 +95,14 @@ def _guard(n: int) -> None:
         raise OrderTooLarge(n)
 
 
-def _compare_relabeled(rows, s, sinv, other, start: int, stop: int) -> int:
-    """Sign of rows start..stop-1 of the relabeling of ``rows`` by s
+def _compare_relabeled(padded: list, s: bytes, sinv: bytes, other, start: int, stop: int) -> int:
+    """Sign of rows start..stop-1 of the relabeling of a table by s
     against those of ``other``, row by row: -1 or 1 at the first row that
-    differs, else 0.  Row x of the relabeling is s·r_{s⁻¹(x)}·s⁻¹."""
-    sinv_get = itemgetter(*sinv)
+    differs, else 0.  ``padded`` holds the table's rows padded to 256
+    entries.  Row x of the relabeling is s·r_{s⁻¹(x)}·s⁻¹."""
+    s = s + _PAD[len(s):]
     for x in range(start, stop):
-        new = tuple(map(s.__getitem__, sinv_get(rows[sinv[x]])))
+        new = sinv.translate(padded[sinv[x]]).translate(s)
         if new != other[x]:
             return -1 if new < other[x] else 1
     return 0
@@ -137,15 +146,18 @@ def _assign(rows: list, r: int, p: list, eqs: list, todo):
             eqs = eqs + new
 
 
-def _propagated_rows(rows: list, r: int, n: int, require_quandle: bool) -> list:
+def _propagated_rows(rows: list, r: int, n: int, require_quandle: bool, k: int) -> list:
     """Every row r that satisfies R2, r_a r_b = r_{r_a(b)} r_a, with the
-    placed rows, in lex order.  The instances it completes with p = r_r:
+    placed rows and maps the block {0..k-1} of leading identity rows onto
+    itself, as bytes in lex order.  The instances it completes with p = r_r:
     - r_a(r) = v < r forces p = r_a⁻¹ r_v r_a, and r_a(b) = r with b < r
       forces p(r_a(c)) = r_a(r_b(c)); these seed p;
     - r_a(r) = r gives p∘r_a = r_a∘p, p(x) = y < r gives p∘r_x = r_y∘p,
       p(x) = r gives p = r_x, and p(r) = y < r gives p = r_y.
     Then p is filled cell by cell in index order, values ascending, and
-    each choice is pushed through these."""
+    each choice is pushed through these.  A cell c < k branches on values
+    below k and any other cell on values of at least k; a forced row that
+    leaves the block is dropped."""
     seeds = [((r, r),)] if require_quandle else []
     eqs = []
     for ra in rows:
@@ -164,10 +176,11 @@ def _propagated_rows(rows: list, r: int, n: int, require_quandle: bool) -> list:
         if eqs is None:
             continue
         if -1 not in p:
-            found.append(tuple(p))
+            if not k or max(p[:k]) < k:
+                found.append(bytes(p))
             continue
         c = p.index(-1)
-        for d in range(n - 1, -1, -1):
+        for d in range(k - 1, -1, -1) if c < k else range(n - 1, k - 1, -1):
             if d not in p:
                 q = p[:]
                 stack.append((q, _assign(rows, r, q, eqs, ((c, d),))))
@@ -175,12 +188,12 @@ def _propagated_rows(rows: list, r: int, n: int, require_quandle: bool) -> list:
 
 
 @lru_cache(maxsize=None)
-def _cycles_row(lengths: tuple[int, ...]) -> tuple[int, ...]:
+def _cycles_row(lengths: tuple[int, ...]) -> bytes:
     """The closed form whose cycles run over consecutive labels
     (a a+1 … a+l-1), with the given lengths in order.  Bounded by the
     ordered cycle types of up to ``MAX_ORDER`` points."""
     starts = accumulate(lengths, initial=0)
-    return from_cycles(sum(lengths), [range(a, a + length) for a, length in zip(starts, lengths)])
+    return bytes(from_cycles(sum(lengths), [range(a, a + length) for a, length in zip(starts, lengths)]))
 
 
 def _partitions(total: int, largest: int):
@@ -193,7 +206,7 @@ def _partitions(total: int, largest: int):
             yield (*tail, part)
 
 
-def _first_rows(n: int, require_quandle: bool) -> tuple[tuple[int, ...], ...]:
+def _first_rows(n: int, require_quandle: bool) -> tuple[bytes, ...]:
     """Row-0 candidates that can start a canonical table, in lex order: one
     closed form (see ``_labelling``, with k = 0) per part holding 0, which
     must be 1 for quandles, and partition of the other points."""
@@ -204,10 +217,10 @@ def _first_rows(n: int, require_quandle: bool) -> tuple[tuple[int, ...], ...]:
     ))
 
 
-def _labelling(row, q: int, k: int):
+def _labelling(row: bytes, q: int, k: int):
     """The least conjugate s·row·s⁻¹ over the s that map {0..k-1} onto
-    itself and q to k, as (conjugate, itemgetter(s), s⁻¹); None if row maps
-    {0..k-1} off itself.
+    itself and q to k, as (conjugate, s, s⁻¹ padded to 256 entries), all
+    bytes; None if row maps {0..k-1} off itself.
 
     On {0..k-1} the conjugate has the fixed points, then the cycles by
     increasing length; from k on, q's cycle, then the fixed points, then
@@ -223,16 +236,17 @@ def _labelling(row, q: int, k: int):
         # Sort by block ({0..k-1}, q's cycle, the rest), then by length.
         found.append((1 if cyc[0] == q else 0 if cyc[0] < k else 2, len(cyc), cyc))
     found.sort()
-    sinv = tuple(chain.from_iterable(cyc for _, _, cyc in found))
-    return _cycles_row(tuple(length for _, length, _ in found)), itemgetter(*inverse(sinv)), sinv
+    sinv = bytes(chain.from_iterable(cyc for _, _, cyc in found))
+    return _cycles_row(tuple(length for _, length, _ in found)), bytes(inverse(sinv)), sinv + _PAD[len(sinv):]
 
 
 @lru_cache(maxsize=None)
-def _centralizer(row: tuple[int, ...], k: int) -> tuple:
+def _centralizer(row: bytes, k: int) -> tuple:
     """The g that commute with a closed form, fix k and map {0..k-1} onto
-    itself, as (g, g⁻¹) pairs: each fixes k's cycle pointwise and permutes
-    the cycles of equal length inside {0..k-1} and inside the rest,
-    rotating each.  Bounded, as closed forms are."""
+    itself, as (g padded to 256 entries, g⁻¹) pairs of bytes: each fixes
+    k's cycle pointwise and permutes the cycles of equal length inside
+    {0..k-1} and inside the rest, rotating each.  Bounded, as closed forms
+    are."""
     groups: dict = {}
     for cyc in cycle_decomposition(row):
         if cyc[0] != k:
@@ -245,24 +259,25 @@ def _centralizer(row: tuple[int, ...], k: int) -> tuple:
     ]
     pairs = []
     for pick in product(*choices):
-        g = list(range(len(row)))
+        g = list(_PAD)
         for src, dst, t in chain.from_iterable(pick):
             g[src[0]:src[-1] + 1] = dst[t:] + dst[:t]
-        pairs.append((tuple(g), inverse(g)))
+        pairs.append((bytes(g), bytes(inverse(g[:len(row)]))))
     return tuple(pairs)
 
 
-def _row_labels(rows, n: int) -> list:
+def _row_labels(rows: list, n: int) -> list:
     """``_labelling`` of each row after the k leading identity rows."""
-    identity = tuple(range(n))
+    identity = _PAD[:n]
     k = next((x for x, row in enumerate(rows) if row != identity), len(rows))
     return [_labelling(rows[q], q, k) for q in range(k, len(rows))]
 
 
-def _prefix_automorphisms(rows, n: int, labels: list) -> int:
+def _prefix_automorphisms(rows: list, padded: list, n: int, labels: list) -> int:
     """0 if the prefix rows 0..r cannot start a canonical table, else the
     number of relabelings preserving {0..r} that leave it unchanged; for a
-    full table, 0 or |Aut(T)|.
+    full table, 0 or |Aut(T)|.  ``rows`` holds the rows as bytes and
+    ``padded`` the same rows padded to 256 entries.
 
     With k leading identity rows, ``labels`` holds
     ``_labelling(rows[q], q, k)`` for q = k..r (see ``_row_labels``).  A
@@ -281,14 +296,14 @@ def _prefix_automorphisms(rows, n: int, labels: list) -> int:
     if any(label[0] < rk for label in labels):
         return 0
     count = 0
-    for cf, sq_get, sqinv in labels:
+    for cf, sq, sqinv in labels:
         if cf != rk:
             continue
         for g, ginv in _centralizer(rk, k):
-            s = sq_get(g)
+            s = sq.translate(g)
             if m < n and max(s[:m]) >= m:
                 continue
-            sign = _compare_relabeled(rows, s, tuple(map(sqinv.__getitem__, ginv)), rows, k + 1, m)
+            sign = _compare_relabeled(padded, s, ginv.translate(sqinv), rows, k + 1, m)
             if sign < 0:
                 return 0
             if sign == 0:
@@ -307,30 +322,39 @@ def _passes(rt: RackTable, filt: EnumerationFilter) -> bool:
 
 
 def _representatives(
-    n: int, filt: EnumerationFilter, first_rows: tuple[tuple[int, ...], ...]
+    n: int, filt: EnumerationFilter, first_rows: tuple[bytes, ...]
 ) -> Iterator[tuple[RackTable, int]]:
     """Yield (T, |Aut(T)|) for every canonical table T that passes the
-    filters, in lex order.  Each row's labelling is computed once, when the
-    row is placed."""
-    identity = tuple(range(n))
+    filters, in lex order.  Each row's labelling is computed when the row
+    is placed, or read from a memo that lives as long as this search."""
+    identity = _PAD[:n]
+    tail = _PAD[n:]
     rows: list = []
+    padded: list = []
     labels: list = []
+    memo: dict = {}
 
     def extend(r: int):
-        for cand in _propagated_rows(rows, r, n, filt.require_quandle) if r else first_rows:
+        k = r - len(labels)
+        for cand in _propagated_rows(rows, r, n, filt.require_quandle, k) if r else first_rows:
             rows.append(cand)
+            padded.append(cand + tail)
             labelled = bool(labels) or cand != identity
             if labelled:
-                labels.append(_labelling(cand, r, r - len(labels)))
-            fixing = _prefix_automorphisms(rows, n, labels)
+                key = (cand, r, k)
+                if key not in memo:
+                    memo[key] = _labelling(cand, r, k)
+                labels.append(memo[key])
+            fixing = _prefix_automorphisms(rows, padded, n, labels)
             if fixing and r == n - 1:
-                rt = RackTable(n, tuple(rows))
+                rt = RackTable(n, tuple(map(tuple, rows)))
                 if _passes(rt, filt):
                     yield rt, fixing
             elif fixing:
                 yield from extend(r + 1)
             if labelled:
                 labels.pop()
+            padded.pop()
             rows.pop()
 
     yield from extend(0)
@@ -403,17 +427,18 @@ def canonical_form(r: RackTable) -> RackTable:
     _guard(r.n)
     n = r.n
     r = relabel(validate(n, r.rows), inverse(sorted(range(n), key=r.rows.__getitem__)))
-    rows = best = r.rows
+    rows = best = list(map(bytes, r.rows))
+    padded = [row + _PAD[n:] for row in rows]
     labels = _row_labels(rows, n)
     k = n - len(labels)
     least = min((label[0] for label in labels), default=None)
-    for cf, sq_get, sqinv in labels:
+    for cf, sq, sqinv in labels:
         if cf == least:
             for g, ginv in _centralizer(cf, k):
-                s = sq_get(g)
-                if _compare_relabeled(rows, s, tuple(map(sqinv.__getitem__, ginv)), best, k, n) < 0:
-                    best = relabel(r, s).rows
-    return RackTable(n, best)
+                s = sq.translate(g)
+                if _compare_relabeled(padded, s, ginv.translate(sqinv), best, k, n) < 0:
+                    best = list(map(bytes, relabel(r, s).rows))
+    return RackTable(n, tuple(map(tuple, best)))
 
 
 def relabel(r: RackTable, sigma: tuple[int, ...]) -> RackTable:

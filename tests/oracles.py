@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import fields, replace
 from functools import lru_cache
-from itertools import accumulate, permutations, product
+from itertools import accumulate, chain, permutations, product
 from operator import itemgetter, mul
 
 import rackq as rq
@@ -287,6 +287,88 @@ def least_labelling(row, q, k):
         for s, sinv in _perm_inverse_pairs(n)
         if s[q] == k and all(v < k for v in s[:k])
     )
+
+
+def labelling_tuples(row, q, k):
+    """``enumeration._labelling`` on tuple rows, as first built: the closed
+    form, ``itemgetter(*s)`` and s⁻¹, or None if row maps {0..k-1} off
+    itself."""
+    if k and max(row[:k]) >= k:
+        return None
+    found = []
+    for cyc in rq.cycle_decomposition(row):
+        if q in cyc:
+            i = cyc.index(q)
+            cyc = cyc[i:] + cyc[:i]
+        found.append((1 if cyc[0] == q else 0 if cyc[0] < k else 2, len(cyc), cyc))
+    found.sort()
+    sinv = tuple(chain.from_iterable(cyc for _, _, cyc in found))
+    closed = cycles_row_builder(tuple(length for _, length, _ in found))
+    return closed, itemgetter(*rq.inverse(sinv)), sinv
+
+
+@lru_cache(maxsize=None)
+def centralizer_tuples(row, k):
+    """``enumeration._centralizer`` on tuple rows, as first built: (g, g⁻¹)
+    pairs of tuples."""
+    groups = {}
+    for cyc in rq.cycle_decomposition(row):
+        if cyc[0] != k:
+            groups.setdefault((cyc[0] > k, len(cyc)), []).append(cyc)
+    choices = [
+        [tuple(zip(cycles, arranged, turns))
+         for arranged in permutations(cycles)
+         for turns in product(range(length), repeat=len(cycles))]
+        for (_, length), cycles in groups.items()
+    ]
+    pairs = []
+    for pick in product(*choices):
+        g = list(range(len(row)))
+        for src, dst, t in chain.from_iterable(pick):
+            g[src[0]:src[-1] + 1] = dst[t:] + dst[:t]
+        pairs.append((tuple(g), rq.inverse(g)))
+    return tuple(pairs)
+
+
+def compare_relabeled_rows(rows, s, sinv, other, start, stop):
+    """``enumeration._compare_relabeled`` on tuple rows, as first built:
+    each relabeled row is one ``itemgetter`` gather and one map of s."""
+    sinv_get = itemgetter(*sinv)
+    for x in range(start, stop):
+        new = tuple(map(s.__getitem__, sinv_get(rows[sinv[x]])))
+        if new != other[x]:
+            return -1 if new < other[x] else 1
+    return 0
+
+
+def prefix_automorphisms_tuples(rows, n):
+    """``enumeration._prefix_automorphisms`` on tuple rows, as first built,
+    with the labels of the rows after the k leading identity rows."""
+    identity = tuple(range(n))
+    m = len(rows)
+    k = next((x for x, row in enumerate(rows) if row != identity), m)
+    labels = [labelling_tuples(rows[q], q, k) for q in range(k, m)]
+    if not labels:
+        return math.factorial(m) * math.factorial(n - m)
+    if None in labels:
+        return 0
+    rk = rows[k]
+    if any(label[0] < rk for label in labels):
+        return 0
+    count = 0
+    for cf, sq_get, sqinv in labels:
+        if cf != rk:
+            continue
+        for g, ginv in centralizer_tuples(rk, k):
+            s = sq_get(g)
+            if m < n and max(s[:m]) >= m:
+                continue
+            sign = compare_relabeled_rows(rows, s, tuple(map(sqinv.__getitem__, ginv)), rows, k + 1, m)
+            if sign < 0:
+                return 0
+            if sign == 0:
+                count += 1
+    return count
 
 
 def _compare_relabeled(rows, s, sinv, other, n: int) -> int:

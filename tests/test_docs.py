@@ -79,7 +79,7 @@ def test_library_raises_only_rack_errors():
 # Per-table facts live on the table, not in caches keyed by whole tables.
 BOUNDED_CACHES = {
     ("enumeration", "_cycles_row", "lru_cache(maxsize=None)"),  # closed forms of <= MAX_ORDER points
-    ("enumeration", "_centralizer", "lru_cache(maxsize=None)"),  # keyed by those closed forms
+    ("enumeration", "_centralizer", "lru_cache(maxsize=None)"),  # keyed by those closed forms; (g, g⁻¹) as bytes
     ("obstructions", "_factorize", "lru_cache(maxsize=4096)"),
     ("cli", "build_parser", "cache"),  # no arguments: one entry
 }

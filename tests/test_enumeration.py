@@ -1,9 +1,10 @@
+import hashlib
 import math
 import multiprocessing
 import os
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -272,6 +273,25 @@ class TestStreamContract:
         assert [rt.rows for rt in seen] == [rt.rows for rt in enumerate_racks(3)]
 
 
+class TestOutputPin:
+    # One sha256 over the census reports and the streamed rows for all 16
+    # filter flag combinations at orders 1-6, recorded from the tuple search
+    # that the byte search replaced.
+    DIGEST = "afe2d3f5c46d20b443b0fa7cb48305ab1fc12be5a2825a01f003ffa749f16679"
+
+    def test_reports_and_streams_are_unchanged(self):
+        h = hashlib.sha256()
+        for n in range(1, 7):
+            for flags in product((False, True), repeat=4):
+                seen = []
+                report = census(n, EnumerationFilter(*flags), sink=seen.append)
+                h.update(emit_report(report).encode())
+                for rt in seen:
+                    assert all(type(v) is int for row in rt.rows for v in row)
+                    h.update(repr(rt.rows).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 # Every distinct filter combination: crossed sets imply quandles.
 FILTERS = [
     EnumerationFilter(q, c, b, i)
@@ -292,6 +312,14 @@ def _assert_matches_unpruned(n, filt):
     assert [rt.rows for rt in enumerate_racks(n, filt)] == reps, (n, filt)
 
 
+def _prefix_count(rows, n):
+    """``_prefix_automorphisms`` on the tuple rows of a prefix, held as the
+    search holds them: bytes, and bytes padded to 256 entries."""
+    rows = list(map(bytes, rows))
+    padded = [row + enumeration._PAD[n:] for row in rows]
+    return enumeration._prefix_automorphisms(rows, padded, n, enumeration._row_labels(rows, n))
+
+
 class TestOrderlySearch:
     """The pruned search with orbit counting against the unpruned one."""
 
@@ -308,33 +336,30 @@ class TestOrderlySearch:
         )
 
     def test_automorphism_counts(self, rack_reps):
-        def count(rows, n):
-            return enumeration._prefix_automorphisms(rows, n, enumeration._row_labels(rows, n))
-
         for n in range(1, 8):
-            assert count(trivial(n).rows, n) == math.factorial(n)
-        assert count(dihedral(3).rows, 3) == 6
+            assert _prefix_count(trivial(n).rows, n) == math.factorial(n)
+        assert _prefix_count(dihedral(3).rows, 3) == 6
         for n in (4, 5):
             for rt in rack_reps[n]:
-                assert count(rt.rows, n) == oracles.automorphism_count(rt.rows)
+                assert _prefix_count(rt.rows, n) == oracles.automorphism_count(rt.rows)
 
     def test_non_canonical_table_has_no_count(self):
         moved = relabel(dihedral(5), (1, 0, 2, 3, 4))
         assert canonical_form(moved) != moved
-        labels = enumeration._row_labels(moved.rows, 5)
-        assert enumeration._prefix_automorphisms(moved.rows, 5, labels) == 0
+        assert _prefix_count(moved.rows, 5) == 0
 
     def test_first_rows_are_the_canonical_tables_first_rows(self, rack_reps):
         for n in range(1, 6):
             firsts = enumeration._first_rows(n, False)
             assert firsts == tuple(sorted(firsts))
-            assert {rt.rows[0] for rt in rack_reps[n]} <= set(firsts)
+            assert {bytes(rt.rows[0]) for rt in rack_reps[n]} <= set(firsts)
         assert len(enumeration._first_rows(5, False)) == 12
 
     @pytest.mark.parametrize("quandle", (False, True))
     def test_first_rows_are_the_least_conjugates(self, quandle):
         for n in range(1, 8):
-            assert list(enumeration._first_rows(n, quandle)) == oracles.least_conjugates(n, quandle)
+            firsts = enumeration._first_rows(n, quandle)
+            assert list(map(tuple, firsts)) == oracles.least_conjugates(n, quandle)
         assert len(enumeration._first_rows(7, quandle)) == (11 if quandle else 30)
 
     def test_centralizer_sizes(self):
@@ -368,23 +393,24 @@ class TestOrderlySearch:
         for n in range(8):
             for lengths in compositions(n):
                 want = oracles.cycles_row_builder(lengths)
-                assert enumeration._cycles_row(lengths) == want, lengths
+                assert enumeration._cycles_row(lengths) == bytes(want), lengths
 
 
 def _visited(monkeypatch, n, quandle):
     """Run one census, recording each prefix whose next row's candidates
-    are drawn, forced or not, and each prefix test with its result."""
+    are drawn, forced or not, with its k leading identity rows, and each
+    prefix test with its result.  Prefixes are recorded as tuple rows."""
     prefixes, tested = [], []
     propagated_rows = enumeration._propagated_rows
     prefix_automorphisms = enumeration._prefix_automorphisms
 
-    def recording_rows(rows, r, n, require_quandle):
-        prefixes.append(tuple(rows))
-        return propagated_rows(rows, r, n, require_quandle)
+    def recording_rows(rows, r, n, require_quandle, k):
+        prefixes.append((tuple(map(tuple, rows)), k))
+        return propagated_rows(rows, r, n, require_quandle, k)
 
-    def recording_test(rows, n, labels):
-        result = prefix_automorphisms(rows, n, labels)
-        tested.append((tuple(rows), result))
+    def recording_test(rows, padded, n, labels):
+        result = prefix_automorphisms(rows, padded, n, labels)
+        tested.append((tuple(map(tuple, rows)), result))
         return result
 
     with monkeypatch.context() as patch:
@@ -394,6 +420,11 @@ def _visited(monkeypatch, n, quandle):
     return prefixes, tested
 
 
+def _keeps_block(row, k):
+    """True if row maps the block {0..k-1} onto itself."""
+    return all(v < k for v in row[:k])
+
+
 class TestSearchAgainstSlowPaths:
     """The propagated candidates and the coset canonicity test against the
     n! candidate filter and the n! relabeling sweep they replaced, on every
@@ -401,19 +432,33 @@ class TestSearchAgainstSlowPaths:
 
     @pytest.mark.parametrize("n, quandle", ((5, False), (6, True)))
     def test_propagated_rows_are_the_filtered_permutations(self, monkeypatch, n, quandle):
+        # The propagator builds only the rows that keep the block of the k
+        # leading identity rows.  A row it leaves out sends some c < k to a
+        # later point v, so R2 makes r_v = r_r r_c r_r⁻¹ the identity and no
+        # completion is canonical.  The sweep moves points of the prefix
+        # only, so it cannot see this before row v; the tuple prefix test
+        # that the byte one replaced rejects each such row at once.
         prefixes, _ = _visited(monkeypatch, n, quandle)
         assert len(prefixes) > 20
-        forced = clashes = 0
-        for rows in prefixes:
-            got = enumeration._propagated_rows(list(rows), len(rows), n, quandle)
-            assert got == oracles.filtered_rows(rows, n, quandle), rows
+        forced = clashes = dropped = 0
+        for rows, k in prefixes:
+            got = enumeration._propagated_rows(list(map(bytes, rows)), len(rows), n, quandle, k)
+            assert all(type(row) is bytes for row in got)
+            filtered = oracles.filtered_rows(rows, n, quandle)
+            kept = [row for row in filtered if _keeps_block(row, k)]
+            assert list(map(tuple, got)) == kept, rows
+            for row in filtered:
+                if not _keeps_block(row, k):
+                    assert max(row[:k]) > len(rows), (rows, row)
+                    assert oracles.prefix_automorphisms_tuples((*rows, row), n) == 0, (rows, row)
+                    dropped += 1
             rivals = oracles.forced_rows(rows)
             forced += bool(rivals)
             if len(rivals) > 1:
                 # Two placed pairs force different rows: they clash.
                 assert got == [], rows
                 clashes += 1
-        assert forced > 20 and clashes > 0
+        assert forced > 20 and clashes > 0 and dropped > 20
 
     @pytest.mark.parametrize("n, quandle", ((5, False), (6, True)))
     def test_prefix_test_matches_the_sweep(self, monkeypatch, n, quandle):
@@ -430,26 +475,34 @@ class TestSearchAgainstSlowPaths:
                 assert result == swept, rows
         assert leaves > 50
 
+    @pytest.mark.parametrize("n, quandle", ((5, False), (6, True)))
+    def test_prefix_test_matches_the_tuple_version(self, monkeypatch, n, quandle):
+        # The byte prefix test against the itemgetter one it replaced, which
+        # rejects early where it does.
+        _, tested = _visited(monkeypatch, n, quandle)
+        assert len(tested) > 100 and any(result == 0 for _, result in tested)
+        for rows, result in tested:
+            assert oracles.prefix_automorphisms_tuples(rows, n) == result, rows
+
     def test_labelling_is_the_least_conjugate(self):
         nones = 0
         for n in range(1, 6):
-            identity = tuple(range(n))
             for row in permutations(range(n)):
                 for k in range(n):
                     for q in range(k, n):
-                        label = enumeration._labelling(row, q, k)
+                        label = enumeration._labelling(bytes(row), q, k)
                         least = oracles.least_labelling(row, q, k)
                         if least is None:
                             assert label is None, (row, q, k)
                             nones += 1
                             continue
-                        cf, sq_get, sqinv = label
-                        s = rq.inverse(sqinv)
-                        # itemgetter of one index returns the entry itself
-                        assert sq_get(identity) == (s if n > 1 else s[0])
-                        assert cf == least, (row, q, k)
-                        assert s[q] == k and sorted(s[:k]) == list(range(k))
-                        assert tuple(s[row[sqinv[y]]] for y in range(n)) == cf
+                        cf, sq, sqinv = label
+                        assert sqinv[n:] == enumeration._PAD[n:]
+                        sqinv = sqinv[:n]
+                        assert sq == bytes(rq.inverse(sqinv))
+                        assert cf == bytes(least), (row, q, k)
+                        assert sq[q] == k and sorted(sq[:k]) == list(range(k))
+                        assert bytes(sq[row[sqinv[y]]] for y in range(n)) == cf
         assert nones > 0
 
 
