@@ -187,11 +187,8 @@ def _propagated_rows(rows: list, r: int, n: int, require_quandle: bool, k: int) 
     return found
 
 
-@lru_cache(maxsize=None)
 def _cycles_row(lengths: tuple[int, ...]) -> bytes:
-    """The closed form whose cycles run over consecutive labels
-    (a a+1 … a+l-1), with the given lengths in order.  Bounded by the
-    ordered cycle types of up to ``MAX_ORDER`` points."""
+    """The closed form with cycles (a a+1 … a+l-1) of the given lengths, in order."""
     starts = accumulate(lengths, initial=0)
     return bytes(from_cycles(sum(lengths), [range(a, a + length) for a, length in zip(starts, lengths)]))
 
@@ -220,14 +217,13 @@ def _first_rows(n: int, require_quandle: bool) -> tuple[bytes, ...]:
 def _labelling(row: bytes, q: int, k: int):
     """The least conjugate s·row·s⁻¹ over the s that map {0..k-1} onto
     itself and q to k, as (conjugate, s, s⁻¹ padded to 256 entries), all
-    bytes; None if row maps {0..k-1} off itself.
+    bytes; row maps {0..k-1} onto itself (see ``_prefix_automorphisms``).
 
-    On {0..k-1} the conjugate has the fixed points, then the cycles by
+    s⁻¹ lists row's cycles in turn, so the conjugate has them on
+    consecutive labels: on {0..k-1} the fixed points, then the cycles by
     increasing length; from k on, q's cycle, then the fixed points, then
-    the other cycles by increasing length, each on consecutive labels.
+    the other cycles by increasing length.
     """
-    if k and max(row[:k]) >= k:
-        return None
     found = []
     for cyc in cycle_decomposition(row):
         if q in cyc:
@@ -237,7 +233,8 @@ def _labelling(row: bytes, q: int, k: int):
         found.append((1 if cyc[0] == q else 0 if cyc[0] < k else 2, len(cyc), cyc))
     found.sort()
     sinv = bytes(chain.from_iterable(cyc for _, _, cyc in found))
-    return _cycles_row(tuple(length for _, length, _ in found)), bytes(inverse(sinv)), sinv + _PAD[len(sinv):]
+    s, pad = bytes(inverse(sinv)), _PAD[len(row):]
+    return sinv.translate(row + pad).translate(s + pad), s, sinv + pad
 
 
 @lru_cache(maxsize=None)
@@ -259,10 +256,11 @@ def _centralizer(row: bytes, k: int) -> tuple:
     ]
     pairs = []
     for pick in product(*choices):
-        g = list(_PAD)
+        g, ginv = list(_PAD), list(_PAD[:len(row)])
         for src, dst, t in chain.from_iterable(pick):
             g[src[0]:src[-1] + 1] = dst[t:] + dst[:t]
-        pairs.append((bytes(g), bytes(inverse(g[:len(row)]))))
+            ginv[dst[0]:dst[-1] + 1] = src[-t:] + src[:-t]
+        pairs.append((bytes(g), bytes(ginv)))
     return tuple(pairs)
 
 
@@ -280,17 +278,15 @@ def _prefix_automorphisms(rows: list, padded: list, n: int, labels: list) -> int
     ``padded`` the same rows padded to 256 entries.
 
     With k leading identity rows, ``labels`` holds
-    ``_labelling(rows[q], q, k)`` for q = k..r (see ``_row_labels``).  A
-    row that maps {0..k-1} off itself makes a later row the identity.  The
-    s that tie rows 0..k are g∘s_q, for the q whose closed form is r_k and
-    g in the centralizer of r_k; a closed form below r_k rules the prefix
-    out.
+    ``_labelling(rows[q], q, k)`` for q = k..r (see ``_row_labels``); each
+    row maps {0..k-1} onto itself, as the propagator builds no other and a
+    rack's rows permute the points whose rows are the identity.  The s
+    that tie rows 0..k are g∘s_q, for the q whose closed form is r_k and g
+    in the centralizer of r_k; a closed form below r_k rules the prefix out.
     """
     m = len(rows)
     if not labels:
         return factorial(m) * factorial(n - m)
-    if None in labels:
-        return 0
     k = m - len(labels)
     rk = rows[k]
     if any(label[0] < rk for label in labels):
@@ -387,6 +383,8 @@ def census(
     merges them in order, so ``sink`` sees the sequential stream.
     """
     _guard(n)
+    if workers is not None and type(workers) is not int:
+        raise RackError(f"workers must be an int or None, got {workers!r}")
     filt = filt or EnumerationFilter()
     report = CensusReport(order=n, filters=filt, total_up_to_iso=0, total_labelled=0)
     n_factorial = factorial(n)
@@ -425,19 +423,21 @@ def canonical_form(r: RackTable) -> RackTable:
     then only the cosets g∘s_q reaching the least closed form of the other
     rows are compared.  Raises ``TableValidationError`` on a non-rack."""
     _guard(r.n)
-    n = r.n
-    r = relabel(validate(n, r.rows), inverse(sorted(range(n), key=r.rows.__getitem__)))
-    rows = best = list(map(bytes, r.rows))
-    padded = [row + _PAD[n:] for row in rows]
+    n, tail = r.n, _PAD[r.n:]
+    given = [bytes(row) + tail for row in validate(n, r.rows).rows]
+    sinv = bytes(sorted(range(n), key=given.__getitem__))
+    s = bytes(inverse(sinv)) + tail
+    rows = best = [sinv.translate(given[y]).translate(s) for y in sinv]
+    padded = [row + tail for row in rows]
     labels = _row_labels(rows, n)
     k = n - len(labels)
     least = min((label[0] for label in labels), default=None)
     for cf, sq, sqinv in labels:
         if cf == least:
-            for g, ginv in _centralizer(cf, k):
-                s = sq.translate(g)
-                if _compare_relabeled(padded, s, ginv.translate(sqinv), best, k, n) < 0:
-                    best = list(map(bytes, relabel(r, s).rows))
+            for g, ginv in _centralizer(least, k):
+                s, sinv = sq.translate(g), ginv.translate(sqinv)
+                if _compare_relabeled(padded, s, sinv, best, k, n) < 0:
+                    best = [sinv.translate(padded[y]).translate(s + tail) for y in sinv]
     return RackTable(n, tuple(map(tuple, best)))
 
 

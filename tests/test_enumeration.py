@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import random
+import re
 from collections import Counter
 from itertools import permutations, product
 
@@ -371,16 +372,19 @@ class TestOrderlySearch:
                     for lead in range(1, n - k + 1):
                         for rest in enumeration._partitions(n - k - lead, n):
                             row = enumeration._cycles_row((*inner, lead, *rest))
-                            group = [g for g, _ in enumeration._centralizer(row, k)]
+                            pairs = enumeration._centralizer(row, k)
+                            group = [g for g, _ in pairs]
                             size = math.prod(
                                 length**m * math.factorial(m)
                                 for block in (inner, rest)
                                 for length, m in Counter(block).items()
                             )
                             assert len(group) == len(set(group)) == size, (row, k)
-                            for g in group:
+                            for g, ginv in pairs:
                                 assert all(g[row[x]] == row[g[x]] for x in range(n))
                                 assert g[k] == k and sorted(g[:k]) == list(range(k))
+                                assert g[n:] == enumeration._PAD[n:]
+                                assert ginv == bytes(rq.inverse(g[:n])), (row, k, g)
 
     def test_cycles_row_matches_the_row_builder(self):
         def compositions(n):
@@ -485,25 +489,39 @@ class TestSearchAgainstSlowPaths:
             assert oracles.prefix_automorphisms_tuples(rows, n) == result, rows
 
     def test_labelling_is_the_least_conjugate(self):
-        nones = 0
         for n in range(1, 6):
             for row in permutations(range(n)):
                 for k in range(n):
+                    if not _keeps_block(row, k):
+                        continue
                     for q in range(k, n):
-                        label = enumeration._labelling(bytes(row), q, k)
+                        cf, sq, sqinv = enumeration._labelling(bytes(row), q, k)
                         least = oracles.least_labelling(row, q, k)
-                        if least is None:
-                            assert label is None, (row, q, k)
-                            nones += 1
-                            continue
-                        cf, sq, sqinv = label
                         assert sqinv[n:] == enumeration._PAD[n:]
                         sqinv = sqinv[:n]
                         assert sq == bytes(rq.inverse(sqinv))
                         assert cf == bytes(least), (row, q, k)
                         assert sq[q] == k and sorted(sq[:k]) == list(range(k))
                         assert bytes(sq[row[sqinv[y]]] for y in range(n)) == cf
-        assert nones > 0
+
+    def test_labelling_matches_the_cycle_type_version(self):
+        # The closed form comes from relabeling the row by s; the tuple
+        # version builds it from the cycle type with the row builder.
+        rng = random.Random(23)
+        cases = [(row, k) for row in permutations(range(6)) for k in range(6)]
+        cases = [(row, k) for row, k in cases if _keeps_block(row, k)]
+        for _ in range(300):
+            k = rng.randrange(7)
+            cases.append((tuple(rng.sample(range(k), k) + rng.sample(range(k, 7), 7 - k)), k))
+        assert len(cases) == 1092 + 300
+        for row, k in cases:
+            n = len(row)
+            for q in range(k, n):
+                cf, sq, sqinv = enumeration._labelling(bytes(row), q, k)
+                closed, sq_get, sqinv_tuple = oracles.labelling_tuples(row, q, k)
+                assert cf == bytes(closed), (row, q, k)
+                assert sq == bytes(sq_get(range(n))), (row, q, k)
+                assert sqinv == bytes(sqinv_tuple) + enumeration._PAD[n:], (row, q, k)
 
 
 class TestWorkerClamp:
@@ -544,3 +562,11 @@ class TestWorkerClamp:
         rep = census(4, filt, workers=workers)
         assert pool_sizes == [expected]
         assert emit_report(rep) == emit_report(census(4, filt))
+
+    @pytest.mark.parametrize("workers", ["2", 2.0, True, [2]])
+    def test_workers_must_be_an_int(self, pool_sizes, workers):
+        # Refused before the search starts, as a non-int order is.
+        message = rf"^workers must be an int or None, got {re.escape(repr(workers))}$"
+        with pytest.raises(rq.RackError, match=message):
+            census(4, workers=workers)
+        assert pool_sizes == []
