@@ -238,10 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="census of all tables of one order up to isomorphism")
     p.add_argument("--order", type=_ascii_int, required=True)
-    p.add_argument("--quandle", action="store_true")
-    p.add_argument("--crossed-set", action="store_true")
-    p.add_argument("--braided", action="store_true")
-    p.add_argument("--indecomposable", action="store_true")
+    p.add_argument("--quandle", action="store_true", help="only quandles: r_x(x) = x for every x")
+    p.add_argument("--crossed-set", action="store_true", help="only crossed sets; implies --quandle")
+    p.add_argument("--braided", action="store_true", help="only braided racks")
+    p.add_argument("--indecomposable", action="store_true", help="only racks with one inner orbit")
     p.add_argument("--dump", metavar="DIR", help="write each representative table to DIR")
     p.add_argument("--threads", type=_ascii_int, default=None, help="parallel search processes")
     p.set_defaults(func=_cmd_enumerate)

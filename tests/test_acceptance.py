@@ -167,6 +167,15 @@ def test_criterion_8_braided_degrees_order_6(rack_reps6):
     _ok("criterion 8 (order-6 tier)", f"{count} braided indecomposable racks checked")
 
 
+def test_criterion_8_braided_degrees_order_7():
+    racks = []
+    rq.census(7, EnumerationFilter(require_braided=True, require_indecomposable=True), sink=racks.append)
+    assert _check_braided_degrees(racks, 7) == len(racks) == 2
+    assert [str(rq.rack_profile(rt)) for rt in racks] == ["1^1 6^1"] * 2
+    assert [rq.degree(rt) for rt in racks] == [6, 6]
+    _ok("criterion 8 (order-7 tier)", f"{len(racks)} braided indecomposable racks checked")
+
+
 def test_criterion_9_generator_oracle_equivalence():
     for n in (1, 2, 3):
         valid = [rows for rows in oracles.all_tables(n) if oracles.is_rack_table(rows)]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import multiprocessing
@@ -233,16 +234,19 @@ class TestStreamContract:
         assert first == second == sorted(first)
 
     def test_parallel_matches_sequential(self):
-        filt = EnumerationFilter(require_quandle=True)
-        seq, par = [], []
-        rep_s = census(4, filt, sink=seq.append)
-        rep_p = census(4, filt, workers=2, sink=par.append)
-        assert len(seq) == 7 and seq == par
-        assert (rep_s.total_labelled, rep_s.total_up_to_iso, rep_s.histogram) == (
-            rep_p.total_labelled,
-            rep_p.total_up_to_iso,
-            rep_p.histogram,
-        )
+        # Each pool job starts from one first row, so the row filters prune
+        # there as in the sequential search.
+        for n, filt, count in (
+            (4, EnumerationFilter(require_quandle=True), 7),
+            (5, EnumerationFilter(require_indecomposable=True), 4),
+            (5, EnumerationFilter(require_braided=True), 3),
+            (5, EnumerationFilter(require_crossed_set=True), 9),
+        ):
+            seq, par = [], []
+            rep_s = census(n, filt, sink=seq.append)
+            rep_p = census(n, filt, workers=2, sink=par.append)
+            assert len(seq) == count and seq == par, filt
+            assert emit_report(rep_s) == emit_report(rep_p), filt
 
     def test_order_guards(self):
         with pytest.raises(OrderTooLarge):
@@ -291,6 +295,24 @@ class TestOutputPin:
                     assert all(type(v) is int for row in rt.rows for v in row)
                     h.update(repr(rt.rows).encode())
         assert h.hexdigest() == self.DIGEST
+
+    # The same sha256 at order 7 for the filters that the row test prunes,
+    # recorded from the search that applied every filter to full tables.
+    DIGEST_7 = "00dfa29064b828f777a0c5aa978b64174dc9128c461c8dc91d2626319c1af497"
+
+    @pytest.mark.slow
+    def test_order_7_pruned_filters_are_unchanged(self):
+        h = hashlib.sha256()
+        for filt in (
+            EnumerationFilter(require_indecomposable=True),
+            EnumerationFilter(require_braided=True),
+            EnumerationFilter(require_quandle=True, require_crossed_set=True),
+        ):
+            seen = []
+            h.update(emit_report(census(7, filt, sink=seen.append)).encode())
+            for rt in seen:
+                h.update(repr(rt.rows).encode())
+        assert h.hexdigest() == self.DIGEST_7
 
 
 # Every distinct filter combination: crossed sets imply quandles.
@@ -398,6 +420,85 @@ class TestOrderlySearch:
             for lengths in compositions(n):
                 want = oracles.cycles_row_builder(lengths)
                 assert enumeration._cycles_row(lengths) == bytes(want), lengths
+
+
+def _passes_on_full_table(rt, filt):
+    """The filters as the unpruned census applies them, to the full table."""
+    return (
+        (not filt.require_quandle or rq.is_quandle(rt))
+        and (not filt.require_crossed_set or oracles.is_crossed_set_pairs(rt))
+        and (not filt.require_braided or oracles.is_braided_pairs(rt))
+        and (not filt.require_indecomposable or rq.is_indecomposable(rt))
+    )
+
+
+def _rows_pass(test, rt):
+    """True if every row of ``rt`` passes ``test`` given the rows before it."""
+    rows = list(map(bytes, rt.rows))
+    return all(test(rows[:r], rows[r], r) for r in range(rt.n))
+
+
+class TestRowTest:
+    """The filters decided row by row, against the same filters on the
+    full table, and the pruning they give the search."""
+
+    @pytest.mark.parametrize("filt", FILTERS, ids=_filter_id)
+    def test_every_prefix_of_a_passing_table_passes(self, filt, rack_reps, rack_reps6):
+        test = enumeration._row_test(filt)
+        if test is None:
+            assert not (filt.require_crossed_set or filt.require_braided or filt.require_indecomposable)
+            return
+        tables = [rt for n in range(1, 6) for rt in rack_reps[n]] + rack_reps6
+        passing = [rt for rt in tables if _passes_on_full_table(rt, filt)]
+        assert passing
+        for rt in passing:
+            assert _rows_pass(test, rt), (_filter_id(filt), rt.rows)
+
+    @pytest.mark.parametrize(
+        "filt",
+        (EnumerationFilter(require_braided=True), EnumerationFilter(require_crossed_set=True)),
+        ids=_filter_id,
+    )
+    def test_pair_filters_are_exactly_the_row_tests(self, filt, rack_reps, rack_reps6):
+        # Every pair (x, y) is checked once, when row max(x, y) is placed,
+        # so a quandle passes every row exactly when it passes the filter.
+        test = enumeration._row_test(filt)
+        tables = [rt for n in range(1, 6) for rt in rack_reps[n]] + rack_reps6
+        candidates = [rt for rt in tables if not filt.require_quandle or rq.is_quandle(rt)]
+        verdicts = [_rows_pass(test, rt) for rt in candidates]
+        assert verdicts == [_passes_on_full_table(rt, filt) for rt in candidates]
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_indecomposable_rows_share_row_0s_cycle_type(self, rack_reps6):
+        test = enumeration._row_test(EnumerationFilter(require_indecomposable=True))
+        for rt in rack_reps6:
+            same = len({tuple(sorted(oracles.cycle_lengths_walk(row))) for row in rt.rows}) == 1
+            assert _rows_pass(test, rt) == same, rt.rows
+
+    @pytest.mark.parametrize(
+        "flag, base",
+        (
+            ("require_indecomposable", EnumerationFilter()),
+            ("require_braided", EnumerationFilter()),
+            ("require_crossed_set", EnumerationFilter(require_quandle=True)),
+        ),
+        ids=("indecomposable", "braided", "crossed_set"),
+    )
+    def test_filters_prune_the_prefix_tests(self, monkeypatch, flag, base):
+        prefix_automorphisms = enumeration._prefix_automorphisms
+
+        def prefix_tests(filt):
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    enumeration,
+                    "_prefix_automorphisms",
+                    lambda *args: calls.append(args) or prefix_automorphisms(*args),
+                )
+                census(6, filt)
+            return len(calls)
+
+        assert prefix_tests(dataclasses.replace(base, **{flag: True})) < prefix_tests(base)
 
 
 def _visited(monkeypatch, n, quandle):
